@@ -23,6 +23,15 @@
 //               separately; the row reports their sum and the footer the
 //               weighted phase breakdown.
 //
+// The int8-path row starts from an already-materialized activation matrix,
+// so it cannot see the im2col gather that feeds it in a real forward. The
+// conv-fwd footer closes that gap: it times Conv2d::forward itself on the
+// first conv of every shape (its captured input from one batch-1 forward of
+// the zoo model), fp32 and static INT8, weighted like the rows, and splits
+// each into the gather (nn::Im2col — whole matrix for fp32, kNR-column
+// tiles for INT8) and the rest; the INT8 split adds quantize+pack (the
+// streamed pack minus its gather), gemm and requantize from the rows.
+//
 // Environment knobs: PFI_BENCH_REPS_MS (target ms per measurement, default
 // 300), PFI_KERNEL_THREADS (intra-op threads for the blocked kernel,
 // default 1 — the campaign engine parallelizes across trials instead).
@@ -36,6 +45,7 @@
 #include "kernels/kernels.hpp"
 #include "kernels/lowp.hpp"
 #include "models/zoo.hpp"
+#include "nn/im2col.hpp"
 #include "util/env.hpp"
 #include "util/stopwatch.hpp"
 
@@ -47,6 +57,11 @@ struct GemmShape {
   std::string layer;
   std::int64_t m = 0, n = 0, k = 0;
   std::int64_t weight = 1;  // groups x batch occurrences
+  // The conv-fwd footer's subject: the first conv with this shape and the
+  // input it saw in one batch-1 forward of its model.
+  std::shared_ptr<nn::Module> model;
+  nn::Conv2d* conv = nullptr;
+  Tensor input;
 };
 
 /// im2col GEMM shapes of every Conv2d in `model_name` at CIFAR geometry.
@@ -67,7 +82,20 @@ std::vector<GemmShape> conv_gemm_shapes(const std::string& model_name) {
     s.k = (o.in_channels / o.groups) * o.kernel * o.kernel;
     s.n = out[2] * out[3];
     s.weight = o.groups;
+    s.model = model;
+    s.conv = conv;
     shapes.push_back(s);
+  }
+  // Capture every conv's input from one forward.
+  std::vector<nn::HookHandle> hooks;
+  for (auto& s : shapes) {
+    hooks.push_back(s.conv->register_forward_pre_hook(
+        [&s](nn::Module&, Tensor& x) { s.input = x.clone(); }));
+  }
+  Rng drng(2);
+  fi.forward(Tensor::rand({1, 3, 32, 32}, drng, -1.0f, 1.0f));
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    shapes[i].conv->remove_hook(hooks[i]);
   }
   return shapes;
 }
@@ -131,6 +159,10 @@ int main() {
   double naive_total_s = 0.0, blocked_total_s = 0.0, flops_total = 0.0;
   double i8_total_s = 0.0, i8_path_total_s = 0.0;
   double quant_total_s = 0.0, gemm_total_s = 0.0, req_total_s = 0.0;
+  // conv-fwd footer accumulators (weighted like the rows).
+  double fwd_f32_s = 0.0, gather_f32_s = 0.0;
+  double fwd_i8_s = 0.0, gather_i8_s = 0.0, pack_i8_s = 0.0;
+  double gemm_i8_s = 0.0, req_i8_s = 0.0;
   Rng rng(7);
   for (const auto& s : shapes) {
     std::vector<float> a(static_cast<std::size_t>(s.m * s.k));
@@ -203,6 +235,67 @@ int main() {
         target_ms);
     const double t_i8_path = t_quant + t_gemm + t_req;
 
+    // conv-fwd: the representative conv's own forward, fp32 then static
+    // INT8 (scales frozen from this input and the fp32 output), and its
+    // gathers alone. Per forward the conv runs one GEMM per group.
+    nn::Conv2d& conv = *s.conv;
+    const auto& o = conv.options();
+    const Tensor& x = s.input;
+    const std::int64_t groups = o.groups;
+    const nn::Im2col im(o.in_channels / groups, x.size(2), x.size(3),
+                        o.kernel, o.stride, o.padding);
+    const std::int64_t slice = im.rows() / (o.kernel * o.kernel) *
+                               x.size(2) * x.size(3);
+    Tensor y;
+    const double t_fwd_f32 = time_per_call([&] { y = conv.forward(x); },
+                                           target_ms);
+    std::vector<float> col(static_cast<std::size_t>(im.rows() * im.cols()));
+    const double t_gather_f32 = time_per_call(
+        [&] {
+          for (std::int64_t g = 0; g < groups; ++g) {
+            im.gather(x.data().data() + g * slice, 0, im.cols(), col.data(),
+                      im.cols());
+          }
+        },
+        target_ms);
+    const float in_scale = kernels::scale_from_absmax(kernels::finite_absmax_i8(
+        x.data().data(), x.numel()));
+    const float y_scale = kernels::scale_from_absmax(kernels::finite_absmax_i8(
+        y.data().data(), y.numel()));
+    conv.set_native_dtype(kernels::LowPrec::kInt8);
+    conv.set_static_act(in_scale, y_scale);
+    const double t_fwd_i8 = time_per_call([&] { y = conv.forward(x); },
+                                          target_ms);
+    conv.set_native_dtype(kernels::LowPrec::kNone);
+    conv.clear_static_act();
+    std::vector<float> tile_buf(
+        static_cast<std::size_t>(im.rows() * kernels::kNR));
+    const float* group_src = x.data().data();
+    const kernels::BTileFn tile = [&](std::int64_t col0, int w, float* dst) {
+      im.gather(group_src, col0, w, dst, w);
+    };
+    const double t_gather_i8 = time_per_call(
+        [&] {
+          for (std::int64_t g = 0; g < groups; ++g) {
+            group_src = x.data().data() + g * slice;
+            for (std::int64_t c0 = 0; c0 < im.cols(); c0 += kernels::kNR) {
+              const int w = static_cast<int>(
+                  std::min<std::int64_t>(kernels::kNR, im.cols() - c0));
+              tile(c0, w, tile_buf.data());
+            }
+          }
+        },
+        target_ms);
+    const double t_stream = time_per_call(
+        [&] {
+          for (std::int64_t g = 0; g < groups; ++g) {
+            group_src = x.data().data() + g * slice;
+            kernels::quantize_pack_b_i8_stream(im.rows(), im.cols(), in_scale,
+                                               tile, pb);
+          }
+        },
+        target_ms);
+
     std::printf(
         "%-34s %6lld %6lld %6lld | %9.2f %9.2f %9.2f %9.2f | %6.2fx %6.2fx\n",
         s.layer.c_str(), static_cast<long long>(s.m),
@@ -219,6 +312,15 @@ int main() {
     gemm_total_s += t_gemm * w;
     req_total_s += t_req * w;
     flops_total += flops * w;
+    // The conv-fwd times already cover every group of one conv.
+    const double wc = w / static_cast<double>(groups);
+    fwd_f32_s += t_fwd_f32 * wc;
+    gather_f32_s += t_gather_f32 * wc;
+    fwd_i8_s += t_fwd_i8 * wc;
+    gather_i8_s += t_gather_i8 * wc;
+    pack_i8_s += std::max(0.0, t_stream - t_gather_i8) * wc;
+    gemm_i8_s += t_gemm * w;
+    req_i8_s += t_req * w;
   }
 
   std::printf("\nweighted total (all conv GEMMs, one forward each):\n");
@@ -239,5 +341,23 @@ int main() {
               100.0 * quant_total_s / i8_path_total_s,
               100.0 * gemm_total_s / i8_path_total_s,
               100.0 * req_total_s / i8_path_total_s);
+
+  std::printf("\nconv-fwd (Conv2d::forward on the first conv of each shape, "
+              "batch 1, weighted):\n");
+  std::printf("  fp32        : %8.3f ms per forward, %8.2f GFLOP/s  "
+              "(gather %.1f%%, rest %.1f%%)\n",
+              fwd_f32_s * 1e3, flops_total / fwd_f32_s * 1e-9,
+              100.0 * gather_f32_s / fwd_f32_s,
+              100.0 * (fwd_f32_s - gather_f32_s) / fwd_f32_s);
+  const double other_i8_s =
+      fwd_i8_s - gather_i8_s - pack_i8_s - gemm_i8_s - req_i8_s;
+  std::printf("  static int8 : %8.3f ms per forward, %8.2f GOP/s    "
+              "(gather %.1f%%, quantize+pack %.1f%%, gemm %.1f%%, "
+              "requantize %.1f%%, other %.1f%%)\n",
+              fwd_i8_s * 1e3, flops_total / fwd_i8_s * 1e-9,
+              100.0 * gather_i8_s / fwd_i8_s, 100.0 * pack_i8_s / fwd_i8_s,
+              100.0 * gemm_i8_s / fwd_i8_s, 100.0 * req_i8_s / fwd_i8_s,
+              100.0 * other_i8_s / fwd_i8_s);
+  std::printf("  int8 vs fp32: %6.2fx\n", fwd_f32_s / fwd_i8_s);
   return 0;
 }

@@ -3,10 +3,12 @@
 #include <bit>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/fault_injector.hpp"
 #include "util/bits.hpp"
+#include "util/parse.hpp"
 #include "util/strings.hpp"
 
 namespace pfi::trace {
@@ -116,8 +118,19 @@ std::string string_field(const std::string& line, const std::string& key) {
   return util::json_unescape(raw.substr(1, raw.size() - 2));
 }
 
-std::int64_t int_field(const std::string& line, const std::string& key) {
-  return std::stoll(raw_field(line, key));
+// Strict integer field: the whole value must be a base-10 integer in
+// [lo, hi]. Trailing junk ("0junk"), an empty value, non-numeric text and
+// overflow are errors that name the key.
+std::int64_t int_field(const std::string& line, const std::string& key,
+                       std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+                       std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  const std::string raw = raw_field(line, key);
+  const auto value = util::parse_int(raw, lo, hi);
+  PFI_CHECK(value.has_value())
+      << "key '" << key << "' holds '" << raw
+      << "', not an integer in [" << lo << ", " << hi
+      << "], in trace line: " << line;
+  return *value;
 }
 
 core::DType dtype_from_name(const std::string& name) {
@@ -153,9 +166,11 @@ std::string event_to_json(const InjectionEvent& ev) {
 
 InjectionEvent event_from_json(const std::string& line) {
   InjectionEvent ev;
-  ev.trial = static_cast<std::uint64_t>(int_field(line, "trial"));
-  ev.attempt = static_cast<std::uint64_t>(int_field(line, "attempt"));
-  ev.rep = static_cast<std::int32_t>(int_field(line, "rep"));
+  constexpr auto kI32Min = std::numeric_limits<std::int32_t>::min();
+  constexpr auto kI32Max = std::numeric_limits<std::int32_t>::max();
+  ev.trial = static_cast<std::uint64_t>(int_field(line, "trial", 0));
+  ev.attempt = static_cast<std::uint64_t>(int_field(line, "attempt", 0));
+  ev.rep = static_cast<std::int32_t>(int_field(line, "rep", kI32Min, kI32Max));
   const std::string kind = string_field(line, "kind");
   PFI_CHECK(kind == "neuron" || kind == "weight" || kind == "persist")
       << "unknown fault kind '" << kind << "' in trace";
@@ -167,15 +182,22 @@ InjectionEvent event_from_json(const std::string& line) {
   ev.layer_kind = string_field(line, "layer_kind");
   ev.dtype = dtype_from_name(string_field(line, "dtype"));
   const std::string coords = raw_field(line, "coords");
-  PFI_CHECK(coords.size() >= 2 && coords.front() == '[')
+  // Exactly "[a,b,c,d]", each a strict integer.
+  PFI_CHECK(!coords.empty() && coords.front() == '[')
       << "bad coords '" << coords << "' in trace";
-  std::istringstream cs(coords.substr(1));
-  char sep = ',';
+  std::size_t pos = 1;
   for (int i = 0; i < 4; ++i) {
-    cs >> ev.coords[i] >> sep;
+    const std::size_t end = coords.find(i < 3 ? ',' : ']', pos);
+    const auto c = end == std::string::npos
+                       ? std::nullopt
+                       : util::parse_int(coords.substr(pos, end - pos));
+    PFI_CHECK(c.has_value()) << "bad coords '" << coords << "' in trace";
+    ev.coords[i] = *c;
+    pos = end + 1;
   }
+  PFI_CHECK(pos == coords.size()) << "bad coords '" << coords << "' in trace";
   ev.flat = int_field(line, "flat");
-  ev.bit = static_cast<std::int32_t>(int_field(line, "bit"));
+  ev.bit = static_cast<std::int32_t>(int_field(line, "bit", kI32Min, kI32Max));
   // A recorded flip attribution must fit the recorded dtype's own
   // representation: diff_bit=28 on an fp16 event can only mean a corrupted
   // or hand-edited trace, and accepting it would push an impossible flip
@@ -190,7 +212,7 @@ InjectionEvent event_from_json(const std::string& line) {
   ev.post = util::float_from_bits_hex(string_field(line, "post_bits"));
   ev.model = string_field(line, "model");
   if (ev.kind == FaultKind::kPersist) {
-    ev.time = static_cast<std::uint64_t>(int_field(line, "time"));
+    ev.time = static_cast<std::uint64_t>(int_field(line, "time", 0));
   }
   return ev;
 }

@@ -66,102 +66,16 @@ void Conv2d::set_static_act(float in_scale, float out_scale) {
   static_out_scale_ = out_scale;
 }
 
-void Conv2d::im2col(const Tensor& input, std::int64_t n, std::int64_t group,
-                    std::int64_t h_out, std::int64_t w_out, Tensor& col) const {
-  const auto k = opts_.kernel, s = opts_.stride, p = opts_.padding;
-  const auto h_in = input.size(2), w_in = input.size(3);
-  const auto cin_g = opts_.in_channels / opts_.groups;
-  const auto c0 = group * cin_g;
-  const auto* in = input.data().data();
-  auto* out = col.data().data();
-  const auto in_plane = h_in * w_in;
-  const auto in_base = (n * input.size(1) + c0) * in_plane;
-
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < cin_g; ++c) {
-    const float* plane = in + in_base + c * in_plane;
-    for (std::int64_t kh = 0; kh < k; ++kh) {
-      for (std::int64_t kw = 0; kw < k; ++kw, ++row) {
-        float* dst = out + row * (h_out * w_out);
-        for (std::int64_t oh = 0; oh < h_out; ++oh) {
-          const std::int64_t ih = oh * s - p + kh;
-          if (ih < 0 || ih >= h_in) {
-            for (std::int64_t ow = 0; ow < w_out; ++ow) dst[oh * w_out + ow] = 0.0f;
-            continue;
-          }
-          const float* src_row = plane + ih * w_in;
-          for (std::int64_t ow = 0; ow < w_out; ++ow) {
-            const std::int64_t iw = ow * s - p + kw;
-            dst[oh * w_out + ow] =
-                (iw >= 0 && iw < w_in) ? src_row[iw] : 0.0f;
-          }
-        }
-      }
-    }
-  }
+Im2col Conv2d::im2col_for(const Tensor& input) const {
+  return Im2col(opts_.in_channels / opts_.groups, input.size(2), input.size(3),
+                opts_.kernel, opts_.stride, opts_.padding);
 }
 
-void Conv2d::im2col_tile(const Tensor& input, std::int64_t n,
-                         std::int64_t group, std::int64_t w_out,
-                         std::int64_t col0, int w, float* dst) const {
-  const auto k = opts_.kernel, s = opts_.stride, p = opts_.padding;
-  const auto h_in = input.size(2), w_in = input.size(3);
+std::int64_t Conv2d::slice_offset(const Tensor& input, std::int64_t n,
+                                  std::int64_t group) const {
   const auto cin_g = opts_.in_channels / opts_.groups;
-  const auto c0 = group * cin_g;
-  const auto* in = input.data().data();
-  const auto in_plane = h_in * w_in;
-  const auto in_base = (n * input.size(1) + c0) * in_plane;
-
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < cin_g; ++c) {
-    const float* plane = in + in_base + c * in_plane;
-    for (std::int64_t kh = 0; kh < k; ++kh) {
-      for (std::int64_t kw = 0; kw < k; ++kw, ++row) {
-        float* drow = dst + row * w;
-        for (int cc = 0; cc < w; ++cc) {
-          const std::int64_t j = col0 + cc;
-          const std::int64_t oh = j / w_out, ow = j % w_out;
-          const std::int64_t ih = oh * s - p + kh;
-          const std::int64_t iw = ow * s - p + kw;
-          drow[cc] = (ih >= 0 && ih < h_in && iw >= 0 && iw < w_in)
-                         ? plane[ih * w_in + iw]
-                         : 0.0f;
-        }
-      }
-    }
-  }
-}
-
-void Conv2d::col2im(const Tensor& col, std::int64_t n, std::int64_t group,
-                    std::int64_t h_out, std::int64_t w_out,
-                    Tensor& grad_input) const {
-  const auto k = opts_.kernel, s = opts_.stride, p = opts_.padding;
-  const auto h_in = grad_input.size(2), w_in = grad_input.size(3);
-  const auto cin_g = opts_.in_channels / opts_.groups;
-  const auto c0 = group * cin_g;
-  const auto* src = col.data().data();
-  auto* dst = grad_input.data().data();
-  const auto in_plane = h_in * w_in;
-  const auto in_base = (n * grad_input.size(1) + c0) * in_plane;
-
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < cin_g; ++c) {
-    float* plane = dst + in_base + c * in_plane;
-    for (std::int64_t kh = 0; kh < k; ++kh) {
-      for (std::int64_t kw = 0; kw < k; ++kw, ++row) {
-        const float* col_row = src + row * (h_out * w_out);
-        for (std::int64_t oh = 0; oh < h_out; ++oh) {
-          const std::int64_t ih = oh * s - p + kh;
-          if (ih < 0 || ih >= h_in) continue;
-          float* dst_row = plane + ih * w_in;
-          for (std::int64_t ow = 0; ow < w_out; ++ow) {
-            const std::int64_t iw = ow * s - p + kw;
-            if (iw >= 0 && iw < w_in) dst_row[iw] += col_row[oh * w_out + ow];
-          }
-        }
-      }
-    }
-  }
+  return (n * opts_.in_channels + group * cin_g) * input.size(2) *
+         input.size(3);
 }
 
 Tensor Conv2d::forward(const Tensor& input) {
@@ -189,6 +103,8 @@ Tensor Conv2d::forward(const Tensor& input) {
   const auto col_rows = cin_g * opts_.kernel * opts_.kernel;
 
   const auto spatial = h_out * w_out;
+  const Im2col im2col = im2col_for(input);
+  const float* in = input.data().data();
   Tensor output({n_batch, opts_.out_channels, h_out, w_out});
   Tensor col({col_rows, spatial});
   // Weight viewed per group as [cout_g, col_rows]: the GEMM's A operand.
@@ -217,7 +133,8 @@ Tensor Conv2d::forward(const Tensor& input) {
           cout_g, col_rows, wp, col_rows, false);
     }
     for (std::int64_t n = 0; n < n_batch; ++n) {
-      im2col(input, n, grp, h_out, w_out, col);
+      im2col.gather(in + slice_offset(input, n, grp), 0, spatial,
+                    col.data().data(), spatial);
       auto* op = output.data().data() +
                  (n * opts_.out_channels + grp * cout_g) * spatial;
       if (blocked) {
@@ -266,6 +183,8 @@ Tensor Conv2d::forward_int8(const Tensor& input, std::int64_t h_out,
         opts_.out_channels, col_rows, w_mat.data().data(), col_rows, false);
   }
   const bool fuse = relu_fused_output();
+  const Im2col im2col = im2col_for(input);
+  const float* in = input.data().data();
 
   std::vector<std::int32_t> acc(static_cast<std::size_t>(cout_g * spatial));
   kernels::PackedPanelsI8 colq;
@@ -278,8 +197,9 @@ Tensor Conv2d::forward_int8(const Tensor& input, std::int64_t h_out,
             cout_g, col_rows, wp, col_rows, false,
             native_scales_.data() + grp * cout_g);
     for (std::int64_t n = 0; n < n_batch; ++n) {
+      const float* slice = in + slice_offset(input, n, grp);
       const kernels::BTileFn tile = [&](std::int64_t col0, int w, float* dst) {
-        im2col_tile(input, n, grp, w_out, col0, w, dst);
+        im2col.gather(slice, col0, w, dst, w);
       };
       // Dynamic calibration pays one extra streaming pass for the absmax;
       // static calibration skips it entirely — that pass is the cost the
@@ -324,6 +244,8 @@ Tensor Conv2d::forward_16(const Tensor& input, std::int64_t h_out,
   const auto col_rows = cin_g * opts_.kernel * opts_.kernel;
   const auto spatial = h_out * w_out;
 
+  const Im2col im2col = im2col_for(input);
+  const float* in = input.data().data();
   Tensor output({n_batch, opts_.out_channels, h_out, w_out});
   Tensor col({col_rows, spatial});
   const Tensor w_mat = weight_.value.reshape({opts_.out_channels, col_rows});
@@ -350,7 +272,8 @@ Tensor Conv2d::forward_16(const Tensor& input, std::int64_t h_out,
       }
     }
     for (std::int64_t n = 0; n < n_batch; ++n) {
-      im2col(input, n, grp, h_out, w_out, col);
+      im2col.gather(in + slice_offset(input, n, grp), 0, spatial,
+                    col.data().data(), spatial);
       kernels::narrow_buffer(col.data().data(), col_rows * spatial, fmt,
                              codes);
       kernels::widen_buffer(codes.data(), col_rows * spatial, fmt, colw);
@@ -381,6 +304,10 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const auto col_rows = cin_g * opts_.kernel * opts_.kernel;
   const auto spatial = h_out * w_out;
 
+  const Im2col im2col = im2col_for(input);
+  PFI_CHECK(im2col.h_out() == h_out && im2col.w_out() == w_out)
+      << kind() << "::backward grad shape " << grad_output.to_string()
+      << " does not match the forward input " << input.to_string();
   Tensor grad_input(input.shape());
   Tensor col({col_rows, spatial});
   Tensor grad_col({col_rows, spatial});
@@ -389,7 +316,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
   for (std::int64_t n = 0; n < n_batch; ++n) {
     for (std::int64_t grp = 0; grp < g; ++grp) {
-      im2col(input, n, grp, h_out, w_out, col);
+      const auto slice = slice_offset(input, n, grp);
+      im2col.gather(input.data().data() + slice, 0, spatial, col.data().data(),
+                    spatial);
       const auto* go = grad_output.data().data() +
                        (n * opts_.out_channels + grp * cout_g) * spatial;
       const auto* cp = col.data().data();
@@ -413,7 +342,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       auto* gcp = grad_col.data().data();
       kernels::gemm(col_rows, spatial, cout_g, wp, col_rows, true, go, spatial,
                     false, gcp, spatial, kernels::Epilogue::kZero);
-      col2im(grad_col, n, grp, h_out, w_out, grad_input);
+      im2col.scatter_add(gcp, grad_input.data().data() + slice);
     }
   }
   return grad_input;

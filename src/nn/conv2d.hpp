@@ -8,16 +8,26 @@
 //
 // Implementation: im2col + GEMM per (sample, group), routed through
 // pfi::kernels (cache-blocked, register-tiled, deterministic at any thread
-// count; see kernels/kernels.hpp). The packed weight panels the blocked GEMM
-// consumes are cached per group and invalidated on weight mutation — the
-// FaultInjector's weight injection/restore paths call
-// invalidate_weight_packs(), and a bit-pattern fingerprint re-checked on
-// every forward catches mutation through tensor aliases. Backward recomputes
-// the column matrix rather than caching it, trading FLOPs for memory.
+// count; see kernels/kernels.hpp). Every path feeds its GEMM from one gather,
+// nn::Im2col (nn/im2col.hpp), built once per forward: it splits a column
+// range into runs within one output row, clips each kernel column to its
+// precomputed in-bounds span, zero-fills the padded ends and copies the
+// interior without per-element division or bounds tests. The fp32 and
+// fp16/bf16 forwards gather the whole column matrix per (sample, group); the
+// INT8 forward gathers kNR-column tiles straight into the packed INT8 panels
+// (kernels::quantize_pack_b_i8_stream), so its column matrix is never
+// materialized. The packed weight panels the blocked GEMM consumes are
+// cached per group and invalidated on weight mutation — the FaultInjector's
+// weight injection/restore paths call invalidate_weight_packs(), and a
+// bit-pattern fingerprint re-checked on every forward catches mutation
+// through tensor aliases. Backward re-gathers the column matrix rather than
+// caching it, trading FLOPs for memory, and scatters its gradient back
+// through the same spans (Im2col::scatter_add).
 #pragma once
 
 #include "kernels/kernels.hpp"
 #include "kernels/lowp.hpp"
+#include "nn/im2col.hpp"
 #include "nn/module.hpp"
 #include "util/rng.hpp"
 
@@ -115,22 +125,13 @@ class Conv2d final : public Module {
   }
 
  private:
-  /// Expand one sample's group-slice of input into a column matrix of shape
-  /// [cin_per_group * k * k, h_out * w_out].
-  void im2col(const Tensor& input, std::int64_t n, std::int64_t group,
-              std::int64_t h_out, std::int64_t w_out, Tensor& col) const;
-  /// Scatter-add a column matrix back into one sample's group-slice.
-  void col2im(const Tensor& col, std::int64_t n, std::int64_t group,
-              std::int64_t h_out, std::int64_t w_out, Tensor& grad_input) const;
-
-  /// Produce the `w`-column block [col0, col0+w) of the im2col matrix into
-  /// `dst` (row stride w): dst[row*w + c] = col(row, col0+c). The INT8 path
-  /// streams these tiles straight into packed panels
-  /// (kernels::quantize_pack_b_i8_stream) so the full col_rows x spatial
-  /// buffer is never materialized.
-  void im2col_tile(const Tensor& input, std::int64_t n, std::int64_t group,
-                   std::int64_t w_out, std::int64_t col0, int w,
-                   float* dst) const;
+  /// The gather for this conv over `input`'s spatial size (one group's
+  /// channels); built once per forward and shared by every (sample, group).
+  Im2col im2col_for(const Tensor& input) const;
+  /// Flat offset of sample `n`'s group-`group` channel slice in an NCHW
+  /// tensor of this conv's input shape.
+  std::int64_t slice_offset(const Tensor& input, std::int64_t n,
+                            std::int64_t group) const;
 
   Tensor forward_int8(const Tensor& input, std::int64_t h_out,
                       std::int64_t w_out);

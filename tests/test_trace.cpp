@@ -277,6 +277,90 @@ TEST(TraceJsonl, FileRoundTripPreservesTheByteStream) {
   EXPECT_EQ(trace::trace_to_jsonl(events), trace::trace_to_jsonl(back));
 }
 
+// Integer fields are parsed strictly: the old std::stoll read "0junk" as 0
+// and threw a bare std::invalid_argument on "x". Every malformed value is
+// now a pfi::Error that names the key.
+std::string with_field(const std::string& line, const std::string& from,
+                       const std::string& to) {
+  const auto at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return line.substr(0, at) + to + line.substr(at + from.size());
+}
+
+void expect_rejected(const std::string& line, const std::string& key) {
+  try {
+    trace::event_from_json(line);
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceJsonl, RejectsTrailingJunkInIntegerFields) {
+  const std::string line = trace::event_to_json(sample_event());
+  expect_rejected(with_field(line, "\"layer\":5,", "\"layer\":5junk,"),
+                  "layer");
+  expect_rejected(with_field(line, "\"layer\":5,", "\"layer\":x,"), "layer");
+  expect_rejected(with_field(line, "\"trial\":12,", "\"trial\":12.5,"),
+                  "trial");
+  expect_rejected(with_field(line, "\"flat\":1234,", "\"flat\":0x4d2,"),
+                  "flat");
+  expect_rejected(with_field(line, "\"bit\":30,", "\"bit\":30 ,"), "bit");
+  const std::string coords = "\"coords\":[0,7,2,9]";
+  for (const char* bad : {"[0,7,2,9x]", "[0,7,2]", "[0,7,2,9,1]", "[0,,2,9]",
+                          "[0,7,2,9"}) {
+    EXPECT_THROW(
+        trace::event_from_json(with_field(
+            line, coords, std::string("\"coords\":") + bad)),
+        Error)
+        << bad;
+  }
+}
+
+TEST(TraceJsonl, RejectsEmptyIntegerValues) {
+  const std::string line = trace::event_to_json(sample_event());
+  expect_rejected(with_field(line, "\"layer\":5,", "\"layer\":,"), "layer");
+  expect_rejected(with_field(line, "\"rep\":1,", "\"rep\":,"), "rep");
+  expect_rejected(with_field(line, "\"attempt\":34,", "\"attempt\":,"),
+                  "attempt");
+}
+
+TEST(TraceJsonl, RejectsIntegerOverflow) {
+  const std::string line = trace::event_to_json(sample_event());
+  expect_rejected(
+      with_field(line, "\"flat\":1234,", "\"flat\":9223372036854775808,"),
+      "flat");
+  expect_rejected(
+      with_field(line, "\"layer\":5,", "\"layer\":-9223372036854775809,"),
+      "layer");
+  // 32-bit fields and unsigned counters keep their own ranges.
+  expect_rejected(with_field(line, "\"rep\":1,", "\"rep\":2147483648,"),
+                  "rep");
+  expect_rejected(with_field(line, "\"trial\":12,", "\"trial\":-1,"),
+                  "trial");
+}
+
+TEST(TraceJsonl, ExtremeValidIntegersRoundTripByteIdentically) {
+  auto ev = sample_event();
+  ev.trial = std::numeric_limits<std::int64_t>::max();
+  ev.rep = std::numeric_limits<std::int32_t>::max();
+  ev.layer = std::numeric_limits<std::int64_t>::min();
+  ev.flat = std::numeric_limits<std::int64_t>::max();
+  ev.coords[0] = -1;
+  ev.coords[3] = std::numeric_limits<std::int64_t>::min();
+  ev.bit = -1;
+  for (const auto kind : {trace::FaultKind::kNeuron, trace::FaultKind::kPersist}) {
+    ev.kind = kind;
+    ev.time = kind == trace::FaultKind::kPersist ? 77 : 0;
+    const std::string line = trace::event_to_json(ev);
+    const auto back = trace::event_from_json(line);
+    expect_same_event(ev, back);
+    EXPECT_EQ(back.time, ev.time);
+    EXPECT_EQ(trace::event_to_json(back), line);
+  }
+}
+
 // A model whose conv carries a hostile name must flow through the whole
 // observability stack — trace JSONL and campaign CSV — without corrupting
 // either format (the regression for the old delimiter-rejecting CSV writer).
