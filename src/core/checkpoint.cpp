@@ -139,7 +139,7 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
                                    std::string_view context) {
   std::ostringstream os;
   os << "classification|trials=" << config.trials << "|model="
-     << config.error_model.name << "|layer=" << config.layer
+     << error_model_identity(config.error_model) << "|layer=" << config.layer
      << "|criterion=" << criterion_name(config.criterion)
      << "|seed=" << config.seed
      << "|same_fault=" << (config.same_fault_across_batch ? 1 : 0)
@@ -155,7 +155,8 @@ std::uint64_t weight_campaign_fingerprint(const WeightCampaignConfig& config,
   std::ostringstream os;
   os << "weight|faults=" << config.faults
      << "|ipf=" << config.images_per_fault
-     << "|model=" << config.error_model.name << "|layer=" << config.layer
+     << "|model=" << error_model_identity(config.error_model)
+     << "|layer=" << config.layer
      << "|criterion=" << criterion_name(config.criterion)
      << "|seed=" << config.seed << "|ctx=";
   return fnv1a(context, fnv1a(os.str()));

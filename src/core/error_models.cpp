@@ -1,5 +1,6 @@
 #include "core/error_models.hpp"
 
+#include <cstdio>
 #include <utility>
 
 #include "util/bits.hpp"
@@ -88,12 +89,25 @@ int bit_class_of(DType dtype, int bit) {
   PFI_CHECK(false) << "bit " << bit << " not covered by any class (bug)";
 }
 
+std::string error_model_identity(const ErrorModel& model) {
+  if (model.params.empty()) return model.name;
+  std::string id = model.name + "#";
+  char hex[9];
+  for (std::size_t i = 0; i < model.params.size(); ++i) {
+    std::snprintf(hex, sizeof hex, "%08x", float_to_bits(model.params[i]));
+    if (i > 0) id += ",";
+    id += hex;
+  }
+  return id;
+}
+
 ErrorModel random_value(float lo, float hi) {
   PFI_CHECK(lo < hi) << "random_value range [" << lo << ", " << hi << ")";
   return {"random_value[" + std::to_string(lo) + "," + std::to_string(hi) + "]",
           [lo, hi](float, const InjectionContext& ctx) {
             return ctx.rng->uniform(lo, hi);
-          }};
+          },
+          {lo, hi}};
 }
 
 ErrorModel zero_value() {
@@ -102,7 +116,8 @@ ErrorModel zero_value() {
 
 ErrorModel constant_value(float v) {
   return {"constant_value[" + std::to_string(v) + "]",
-          [v](float, const InjectionContext&) { return v; }};
+          [v](float, const InjectionContext&) { return v; },
+          {v}};
 }
 
 ErrorModel single_bit_flip(int bit) {
@@ -150,7 +165,8 @@ ErrorModel single_bit_flip(int bit) {
 
 ErrorModel scale_value(float gain) {
   return {"scale_value[" + std::to_string(gain) + "]",
-          [gain](float v, const InjectionContext&) { return gain * v; }};
+          [gain](float v, const InjectionContext&) { return gain * v; },
+          {gain}};
 }
 
 ErrorModel multi_bit_flip(int bits) {
@@ -198,7 +214,8 @@ ErrorModel saturate(float limit) {
   return {"saturate[" + std::to_string(limit) + "]",
           [limit](float v, const InjectionContext&) {
             return v > limit ? limit : (v < -limit ? -limit : v);
-          }};
+          },
+          {limit}};
 }
 
 float force_bit(float v, int bit, int value, DType dtype,
@@ -250,7 +267,8 @@ ErrorModel additive_noise(float magnitude) {
   return {"additive_noise[" + std::to_string(magnitude) + "]",
           [magnitude](float v, const InjectionContext& ctx) {
             return v + ctx.rng->uniform(-magnitude, magnitude);
-          }};
+          },
+          {magnitude}};
 }
 
 }  // namespace pfi::core

@@ -11,6 +11,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "quant/quant.hpp"
 #include "tensor/tensor.hpp"
@@ -69,7 +70,16 @@ struct InjectionContext {
 struct ErrorModel {
   std::string name;
   std::function<float(float, const InjectionContext&)> apply;
+  /// Exact real-valued parameters, in declaration order. The display name
+  /// prints them with 6 decimals, so it cannot tell 1e-7 from 2e-7; campaign
+  /// fingerprints fold these bits in (error_model_identity). Empty for
+  /// parameterless and bit-index models, whose name is already exact.
+  std::vector<float> params = {};
 };
+
+/// The model's campaign identity: its name, followed by the bit patterns of
+/// `params` in hex when it has any ("random_value[...]#00000000,33d6bf95").
+std::string error_model_identity(const ErrorModel& model);
 
 // -- The paper's built-in model library ----------------------------------------
 

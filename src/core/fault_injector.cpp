@@ -45,6 +45,19 @@ FaultInjector::FaultInjector(std::shared_ptr<nn::Module> model, FiConfig config)
   // representation.
   apply_native_modes();
 
+  // Row separability (see "Batch semantics" in the header): fp32 and the
+  // 16-bit formats round element by element, and static INT8 quantizes
+  // with frozen scales. Emulated INT8 calibrates each output over the whole
+  // batch, and native dynamic INT8 Linear layers their whole input batch,
+  // so one row alone would land on a different grid. (Dynamic INT8 convs
+  // calibrate per image, but dynamic INT8 is excluded as a whole.)
+  rows_separable_ = true;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    if (layer_dtype_[i] == DType::kInt8 && layer_static_[i] == 0) {
+      rows_separable_ = false;
+    }
+  }
+
   // Install the hooks up front; each hook body starts with the O(1)
   // emptiness check the paper's overhead argument rests on.
   hook_handles_.reserve(layers_.size());
@@ -718,7 +731,7 @@ Tensor FaultInjector::forward(const Tensor& input, ForwardMode mode) {
     try {
       Tensor out = (*model_)(input);
       recording_golden_ = false;
-      if (record_snapshots) prefix_cache_->end_record();
+      if (record_snapshots) prefix_cache_->end_record(out);
       return out;
     } catch (...) {
       recording_golden_ = false;
@@ -735,8 +748,11 @@ Tensor FaultInjector::forward(const Tensor& input, ForwardMode mode) {
   // through) the earliest armed fault; arm_reuse itself falls back
   // (returning 0) when nothing was recorded or the input differs. Either
   // way the forward runs — the cache only decides how much of it is served
-  // from snapshots.
+  // from snapshots. When every fault sits in one batch row, only that row
+  // executes and the other rows come from the recorded golden output —
+  // unless the plan found the recording stale (prefix_len 0).
   const ReusePlan plan = reuse_plan();
+  const std::int64_t row = plan.prefix_len > 0 ? sliceable_row(input) : -1;
   PrefixCache::SnapshotMutator mutator;
   if (plan.mutate_layer >= 0) {
     mutator = [this, layer = plan.mutate_layer](nn::Module&, Tensor& out) {
@@ -745,15 +761,41 @@ Tensor FaultInjector::forward(const Tensor& input, ForwardMode mode) {
     };
   }
   prefix_cache_->arm_reuse(plan.prefix_len, input, plan.mutate_event,
-                           std::move(mutator));
-  try {
-    Tensor out = (*model_)(input);
-    prefix_cache_->disarm();
-    return out;
-  } catch (...) {
-    prefix_cache_->disarm();
-    throw;
+                           std::move(mutator), row);
+  // Restores the full-batch state however the pass ends.
+  struct Reset {
+    FaultInjector& fi;
+    ~Reset() {
+      fi.prefix_cache_->disarm();
+      fi.slice_row_ = -1;
+    }
+  } reset{*this};
+  if (row < 0) return (*model_)(input);
+
+  slice_row_ = row;
+  const Tensor row_out = (*model_)(input.batch_row(row));
+  Tensor out = prefix_cache_->golden_output().clone();
+  out.copy_row_from(row, row_out);
+  ++prefix_cache_->stats().row_sliced_passes;
+  return out;
+}
+
+std::int64_t FaultInjector::sliceable_row(const Tensor& input) const {
+  if (!rows_separable_ || input.size(0) < 2 || !weight_undo_.empty() ||
+      !persist_undo_.empty() || !prefix_cache_->matches_recorded(input)) {
+    return -1;
   }
+  std::int64_t row = -1;
+  for (const auto& layer_faults : faults_) {
+    for (const ArmedFault& f : layer_faults) {
+      if (f.loc.batch == kAllBatchElements || f.loc.batch >= input.size(0) ||
+          (row >= 0 && f.loc.batch != row)) {
+        return -1;
+      }
+      row = f.loc.batch;
+    }
+  }
+  return row >= 0 && prefix_cache_->leaves_deterministic() ? row : -1;
 }
 
 void FaultInjector::absorb_prefix_stats(const FaultInjector& other) {
@@ -864,7 +906,14 @@ void FaultInjector::apply_armed_faults(std::int64_t layer_index,
   ctx.qparams = qp;
   ctx.rng = &rng_;
 
-  const auto batch = output.size(0);
+  // In a row-sliced pass the output is one row: full-batch row slice_row_,
+  // the row every armed fault targets. Coordinates and flat indices stay
+  // the full batch's (so error models, traces and RNG draws match the full
+  // pass); only the element touched moves down to row 0.
+  const bool sliced = slice_row_ >= 0;
+  const std::int64_t batch = sliced ? slice_row_ + 1 : output.size(0);
+  const std::int64_t row0 = sliced ? slice_row_ : 0;
+  const std::int64_t row_shift = sliced ? slice_row_ * output.numel() : 0;
   for (const ArmedFault& fault : layer_faults) {
     const auto& loc = fault.loc;
     // Shapes can differ from the profiled ones only in batch size (smaller
@@ -885,16 +934,18 @@ void FaultInjector::apply_armed_faults(std::int64_t layer_index,
     for (std::int64_t b = b0; b < b1; ++b) {
       if (b >= batch) break;  // final partial batch
       if (fault.scope == FaultScope::kNeuron) {
-        const std::int64_t flat = output.offset_of(b, loc.c, loc.h, loc.w);
+        const std::int64_t at =
+            output.offset_of(b - row0, loc.c, loc.h, loc.w);
+        const std::int64_t flat = at + row_shift;
         ctx.flat_index = flat;
-        const float pre = output[flat];
-        output[flat] = fault.model.apply(pre, ctx);
+        const float pre = output[at];
+        output[at] = fault.model.apply(pre, ctx);
         ++injections_;
         if constexpr (trace::kEnabled) {
           if (sink_ != nullptr) {
             const std::int64_t coords[4] = {b, loc.c, loc.h, loc.w};
             emit_event(trace::FaultKind::kNeuron, layer_index, coords, flat,
-                       pre, output[flat], fault.model.name, qp);
+                       pre, output[at], fault.model.name, qp);
           }
         }
         continue;
@@ -904,16 +955,17 @@ void FaultInjector::apply_armed_faults(std::int64_t layer_index,
       for (std::int64_t c = c0; c < c1; ++c) {
         for (std::int64_t h = 0; h < output.size(2); ++h) {
           for (std::int64_t w = 0; w < output.size(3); ++w) {
-            const std::int64_t flat = output.offset_of(b, c, h, w);
+            const std::int64_t at = output.offset_of(b - row0, c, h, w);
+            const std::int64_t flat = at + row_shift;
             ctx.flat_index = flat;
-            const float pre = output[flat];
-            output[flat] = fault.model.apply(pre, ctx);
+            const float pre = output[at];
+            output[at] = fault.model.apply(pre, ctx);
             ++injections_;
             if constexpr (trace::kEnabled) {
               if (sink_ != nullptr) {
                 const std::int64_t coords[4] = {b, c, h, w};
                 emit_event(trace::FaultKind::kNeuron, layer_index, coords,
-                           flat, pre, output[flat], fault.model.name, qp);
+                           flat, pre, output[at], fault.model.name, qp);
               }
             }
           }

@@ -18,7 +18,24 @@
 //    legality checks with precise error messages at declaration time.
 //
 //  * Batch semantics (Sec. III-B step 3). A fault can hit one batch element
-//    or all of them (batch = kAllBatchElements).
+//    or all of them (batch = kAllBatchElements). In a row-separable model
+//    (below) rows never mix, so when every armed neuron fault targets the
+//    same row r, the other rows of a faulty pass are the golden rows bit for
+//    bit.
+//    A kReusePrefix pass then executes row r alone (the prefix cache serves
+//    row r of each snapshot) and returns the recorded golden output with
+//    row r replaced. The hooks map row r to the executing tensor's row 0;
+//    InjectionContext::flat_index, trace coords/flat and the order of RNG
+//    draws stay those of the full-batch pass. Row-separable means every
+//    instrumented layer is fp32, fp16 or bf16 (emulated or native) or
+//    static INT8, and every leaf is deterministic.
+//    Emulated INT8 calibrates each output's scale over the whole batch, and
+//    native dynamic INT8 Linear layers quantize their whole input batch with
+//    one scale, so a lone row would land on another grid; models with
+//    emulated or dynamic INT8 layers, weight faults, persistent writes, an
+//    attached profiler and an input other than the recorded one keep the
+//    full-batch pass. Forward hooks of the caller's own see a [1, ...]
+//    tensor on a row-sliced pass.
 //
 //  * Dtype emulation. With DType::kInt8 the injector fake-quantizes every
 //    instrumented output (per-tensor symmetric INT8) on every forward —
@@ -242,6 +259,9 @@ class FaultInjector {
   /// reuse is unavailable (cache disabled, profiler attached, model in
   /// training mode, nothing recorded, different input), in which case the
   /// pass silently degrades to a full recompute with identical results.
+  /// A kReusePrefix pass whose faults all sit in one batch row executes
+  /// only that row (see "Batch semantics"); its other rows are the tensor a
+  /// kRecordGolden pass returned, which must not be modified in place.
   Tensor forward(const Tensor& input,
                  ForwardMode mode = ForwardMode::kPlain);
 
@@ -378,6 +398,11 @@ class FaultInjector {
   /// (per-layer timings need real execution), model in eval mode.
   bool prefix_cache_usable() const;
 
+  /// The batch row the next kReusePrefix pass on `input` may execute alone
+  /// (see "Batch semantics"), or -1 for a full-batch pass. Assumes
+  /// prefix_cache_usable().
+  std::int64_t sliceable_row(const Tensor& input) const;
+
   /// Emit one InjectionEvent into the attached sink (trace builds only).
   /// `time` stamps kPersist events with the simulated event index; it is
   /// ignored (and unserialized) for transient kinds.
@@ -448,6 +473,12 @@ class FaultInjector {
   /// recalibrating on the already-quantized snapshot would drift by ULPs.
   std::vector<quant::QuantParams> golden_qp_;
   bool recording_golden_ = false;
+  /// Every instrumented layer is row-separable: fp32/fp16/bf16 (emulated or
+  /// native) or static INT8. Fixed at construction.
+  bool rows_separable_ = false;
+  /// During a row-sliced pass, the full-batch row the executing tensors hold
+  /// as their row 0; else -1.
+  std::int64_t slice_row_ = -1;
   std::int64_t total_neurons_ = 0;
   std::uint64_t injections_ = 0;
   Rng rng_;

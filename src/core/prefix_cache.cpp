@@ -1,5 +1,6 @@
 #include "core/prefix_cache.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -17,6 +18,7 @@ void PrefixCacheStats::absorb(const PrefixCacheStats& other) {
   budget_truncations += other.budget_truncations;
   input_mismatches += other.input_mismatches;
   injection_site_serves += other.injection_site_serves;
+  row_sliced_passes += other.row_sliced_passes;
 }
 
 PrefixCache::PrefixCache(nn::Module& root, std::size_t budget_bytes)
@@ -85,6 +87,7 @@ void PrefixCache::begin_record(const Tensor& input) {
   recorded_bytes_ = 0;
   first_uncached_ = kNoEvent;
   accounted_.clear();
+  golden_output_ = Tensor();
   input_data_ = input.data().data();
   input_shape_ = input.shape();
   install_record_hooks();
@@ -161,13 +164,27 @@ void PrefixCache::on_record_container(nn::Module& m, Tensor& output) {
   }
 }
 
-void PrefixCache::end_record() {
+void PrefixCache::end_record(const Tensor& output) {
   PFI_CHECK(recording_) << "prefix cache: end_record without begin_record";
   remove_hooks(record_hooks_);
   recording_ = false;
   if (record_cursor_ < events_.size()) events_.resize(record_cursor_);
   recorded_ = record_cursor_ > 0;
+  // Zero-copy, like the snapshots: the output is fresh storage no later
+  // forward writes into.
+  golden_output_ = output;
   if (recorded_) ++stats_.golden_records;
+}
+
+bool PrefixCache::matches_recorded(const Tensor& input) const {
+  return recorded_ && golden_output_.defined() &&
+         input.data().data() == input_data_ && input.shape() == input_shape_;
+}
+
+bool PrefixCache::leaves_deterministic() const {
+  return std::all_of(leaves_.begin(), leaves_.end(), [](const nn::Module* m) {
+    return m->deterministic_forward();
+  });
 }
 
 void PrefixCache::ensure_index() const {
@@ -212,9 +229,13 @@ std::size_t PrefixCache::first_execution_index(const nn::Module* m) const {
 std::size_t PrefixCache::arm_reuse(std::size_t prefix_len,
                                    const Tensor& input,
                                    std::size_t mutate_index,
-                                   SnapshotMutator mutator) {
+                                   SnapshotMutator mutator,
+                                   std::int64_t row) {
   PFI_CHECK(!recording_) << "prefix cache: arm_reuse while recording";
   PFI_CHECK(!armed_) << "prefix cache: arm_reuse while already armed";
+  PFI_CHECK(row < 0 || (input.dim() >= 1 && row < input.size(0)))
+      << "prefix cache: row " << row << " outside input "
+      << input.to_string();
   std::size_t usable = recorded_ ? prefix_len : 0;
   if (usable > events_.size()) usable = events_.size();
   // The prefix must be contiguous snapshots: a budget- or determinism-
@@ -238,6 +259,7 @@ std::size_t PrefixCache::arm_reuse(std::size_t prefix_len,
     mutate_index_ = mutate_index;
     mutator_ = std::move(mutator);
   }
+  row_ = row;
   armed_ = true;
   ++stats_.reuse_passes;
   install_bypass_hooks();
@@ -265,8 +287,12 @@ bool PrefixCache::on_bypass(nn::Module& m, Tensor& out) {
     // The injection site: hand out a CLONE with the faults applied on top,
     // so the shared golden snapshot itself stays pristine for later reps.
     ++stats_.injection_site_serves;
-    out = ev.snapshot.clone();
+    out = row_ >= 0 ? ev.snapshot.batch_row(row_) : ev.snapshot.clone();
     mutator_(m, out);
+    return true;
+  }
+  if (row_ >= 0) {
+    out = ev.snapshot.batch_row(row_);
     return true;
   }
   // Zero-copy hand-out: eval-mode forwards never mutate their input in
@@ -293,7 +319,7 @@ bool PrefixCache::on_bypass_container(nn::Module& m, Tensor& out) {
   if (snap == container_snaps_.end() || !snap->second.defined()) return false;
   reuse_cursor_ = range.hi + 1;
   stats_.layers_reused += range.hi - range.lo + 1;
-  out = snap->second;
+  out = row_ >= 0 ? snap->second.batch_row(row_) : snap->second;
   return true;
 }
 
@@ -304,6 +330,7 @@ void PrefixCache::disarm() {
   reuse_cursor_ = 0;
   mutate_index_ = kNoEvent;
   mutator_ = nullptr;
+  row_ = -1;
 }
 
 std::size_t prefix_cache_default_budget() {
@@ -342,6 +369,11 @@ std::string prefix_cache_summary(const PrefixCacheStats& stats,
   if (stats.injection_site_serves > 0) {
     os << stats.injection_site_serves << " faults applied on cached "
        << "activations, ";
+  }
+  if (stats.row_sliced_passes > 0) {
+    os << stats.row_sliced_passes << "/"
+       << (stats.reuse_passes + stats.fallback_passes)
+       << " faulty passes row-sliced, ";
   }
   os << "budget " << (budget_bytes >> 20) << " MB";
   if (stats.budget_truncations > 0) {

@@ -39,6 +39,14 @@
 //    sampling is uniform over neurons, which concentrates injections in the
 //    early, largest — and most expensive — layers.
 //
+//  * ROW REUSE: in a row-separable model (see below) a neuron fault in
+//    batch row r cannot reach another row. When the injector arms a pass
+//    with arm_reuse(..., row = r) it executes row r alone as a batch of
+//    one, every served event is row r of its snapshot (a copy, shape
+//    [1, ...]), and the injector splices the executed row into the golden
+//    output kept by end_record(). Golden reuse thus extends from depth (the
+//    layers before the fault) to width (the rows beside it).
+//
 // Correctness argument, pinned by tests:
 //  * kernels are bit-deterministic and eval-mode forwards are pure
 //    (modules that draw per-call randomness report
@@ -49,7 +57,16 @@
 //    served zero-copy for the whole attempt;
 //  * bypassed layers skip their post-forward hooks, which is sound because
 //    a prefix layer by definition has no armed fault and its snapshot
-//    already includes the hook's dtype emulation.
+//    already includes the hook's dtype emulation;
+//  * a row of a batch-1 forward equals the same row of the batch forward
+//    bit for bit when the model is row-separable: every conv runs one GEMM
+//    per image, Linear's edge tiles keep the full tiles' accumulation
+//    chains, BatchNorm uses running statistics in eval mode, and fp32,
+//    fp16/bf16 rounding and static INT8 quantization are per element. The
+//    exception is calibration over the batch: emulated INT8 uses one scale
+//    per output tensor, and native dynamic INT8 Linear layers quantize the
+//    whole input batch with one scale. The injector never slices models
+//    with emulated or dynamic INT8 layers.
 //  Consequently campaign counts, CSV, trace JSONL, and checkpoint files are
 //  byte-identical with the cache on or off, at any thread count.
 //
@@ -89,6 +106,8 @@ struct PrefixCacheStats {
   std::uint64_t injection_site_serves = 0;  ///< faults applied on a served
                                             ///< snapshot clone (resume AT
                                             ///< the injected layer)
+  std::uint64_t row_sliced_passes = 0;  ///< faulty passes that executed only
+                                        ///< the faulted batch row
 
   /// Fraction of leaf executions served from cache across all faulty passes
   /// that went through the reuse path (armed or fallen back).
@@ -126,8 +145,9 @@ class PrefixCache {
   /// input falls back instead of replaying the wrong activations.
   void begin_record(const Tensor& input);
   /// Stop recording; the events observed since begin_record become the
-  /// replayable golden prefix.
-  void end_record();
+  /// replayable golden prefix and `output` (the pass's result; undefined
+  /// when the pass threw) the golden output a row-sliced pass splices into.
+  void end_record(const Tensor& output = Tensor());
 
   // -- Reuse (faulty forward) -----------------------------------------------------
   /// Applied to a clone of the mutate_index event's snapshot before it is
@@ -145,14 +165,26 @@ class PrefixCache {
   /// on the clone — never the shared golden storage. If truncation pushes
   /// the prefix below mutate_index the event simply recomputes and the
   /// caller's real fault hook fires, so results are identical either way.
+  ///
+  /// `row` >= 0 arms a row-sliced pass: the forward executes only batch row
+  /// `row` of `input` (as a [1, ...] batch), so every served event is a copy
+  /// of that row of its snapshot, and the mutator sees the row copy.
   std::size_t arm_reuse(std::size_t prefix_len, const Tensor& input,
                         std::size_t mutate_index = kNoEvent,
-                        SnapshotMutator mutator = nullptr);
+                        SnapshotMutator mutator = nullptr,
+                        std::int64_t row = -1);
   /// Remove the bypass hooks; safe to call when nothing is armed.
   void disarm();
 
   // -- Introspection ---------------------------------------------------------------
   bool recorded() const { return recorded_; }
+  /// True when `input` is the tensor the last completed record pass saw
+  /// (same storage and shape) and that pass's output was kept.
+  bool matches_recorded(const Tensor& input) const;
+  /// Output of the last completed record pass (undefined before one).
+  const Tensor& golden_output() const { return golden_output_; }
+  /// True when every leaf currently reports deterministic_forward().
+  bool leaves_deterministic() const;
   /// Leaf executions observed by the last completed record pass.
   std::size_t num_events() const { return events_.size(); }
   /// Index of `m`'s FIRST execution event in the recorded pass, or kNoEvent.
@@ -226,10 +258,14 @@ class PrefixCache {
   /// Event served as a mutated clone (the injection site), or kNoEvent.
   std::size_t mutate_index_ = kNoEvent;
   SnapshotMutator mutator_;
+  /// Batch row a row-sliced pass executes, or -1 (serve whole snapshots).
+  std::int64_t row_ = -1;
 
   /// Identity of the recorded input (storage pointer + shape).
   const float* input_data_ = nullptr;
   Shape input_shape_;
+  /// Retained output handle of the recorded pass.
+  Tensor golden_output_;
 
   PrefixCacheStats stats_;
 };

@@ -47,14 +47,16 @@ std::uint32_t relu_bits(float v) {
 /// Captures one instrumented layer's golden output during a kRecordGolden
 /// pass. Registered AFTER the injector's own hook (construction order), so
 /// it observes the post-dtype-emulation activation — the exact domain the
-/// injector applies faults in.
+/// injector applies faults in. Only the first forward after construction
+/// (the golden pass) is kept: a later faulty pass that recomputes the layer
+/// would otherwise overwrite it with a faulted (or row-sliced) activation.
 class GoldenCapture {
  public:
   GoldenCapture(FaultInjector& fi, std::int64_t layer)
       : module_(fi.layer(layer)) {
     handle_ = module_.register_forward_hook(
         [this](nn::Module&, const Tensor&, Tensor& output) {
-          captured_ = output.clone();
+          if (!captured_.defined()) captured_ = output.clone();
         });
   }
   ~GoldenCapture() { module_.remove_hook(handle_); }

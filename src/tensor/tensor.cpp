@@ -126,6 +126,27 @@ Tensor Tensor::reshape(Shape new_shape) const {
   return out;
 }
 
+Tensor Tensor::batch_row(std::int64_t n) const {
+  PFI_CHECK(defined() && dim() >= 1 && n >= 0 && n < shape_[0])
+      << "batch_row " << n << " of " << to_string();
+  const std::int64_t row = numel_ / shape_[0];
+  const auto first = storage_->begin() + n * row;
+  Shape shape = shape_;
+  shape[0] = 1;
+  return Tensor(std::move(shape), std::vector<float>(first, first + row));
+}
+
+void Tensor::copy_row_from(std::int64_t n, const Tensor& src) {
+  PFI_CHECK(defined() && src.defined() && dim() >= 1 && n >= 0 &&
+            n < shape_[0] && src.dim() == dim() && src.shape_[0] == 1 &&
+            std::equal(shape_.begin() + 1, shape_.end(),
+                       src.shape_.begin() + 1))
+      << "copy_row_from: row " << n << " of " << to_string() << " from "
+      << src.to_string();
+  std::copy(src.storage_->begin(), src.storage_->end(),
+            storage_->begin() + n * src.numel_);
+}
+
 void Tensor::fill(float v) {
   std::fill(storage_->begin(), storage_->end(), v);
 }

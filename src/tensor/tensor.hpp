@@ -91,6 +91,12 @@ class Tensor {
   Tensor clone() const;
   /// Same storage, new shape (element count must match).
   Tensor reshape(Shape new_shape) const;
+  /// Deep copy of row `n` of dimension 0, keeping a leading dimension of 1
+  /// ([N, ...] -> [1, ...]).
+  Tensor batch_row(std::int64_t n) const;
+  /// Overwrite row `n` of dimension 0 from `src`, a [1, ...] tensor whose
+  /// remaining dimensions match.
+  void copy_row_from(std::int64_t n, const Tensor& src);
   /// Fill every element with v.
   void fill(float v);
   /// Overwrite this tensor's contents from another of identical shape.

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -130,6 +131,67 @@ TEST(CheckpointFingerprint, SensitiveToOutcomeShapingFields) {
   EXPECT_NE(campaign_fingerprint(c, "ctx"), fp);
 
   EXPECT_NE(campaign_fingerprint(base, "other-model"), fp);
+}
+
+TEST(CheckpointFingerprint, RealValuedErrorModelsKeyedByExactBits) {
+  // Both display as random_value[0.000000,0.000000]; resume must still tell
+  // the two experiments apart.
+  const ErrorModel small = random_value(0.0f, 1e-7f);
+  const ErrorModel larger = random_value(0.0f, 2e-7f);
+  ASSERT_EQ(small.name, larger.name);
+  CampaignConfig c;
+  WeightCampaignConfig w;
+  c.error_model = w.error_model = small;
+  const std::uint64_t c_small = campaign_fingerprint(c, "ctx");
+  const std::uint64_t w_small = weight_campaign_fingerprint(w, "ctx");
+  c.error_model = w.error_model = larger;
+  EXPECT_NE(campaign_fingerprint(c, "ctx"), c_small);
+  EXPECT_NE(weight_campaign_fingerprint(w, "ctx"), w_small);
+  for (const auto& [a, b] :
+       {std::pair{constant_value(1e-7f), constant_value(2e-7f)},
+        std::pair{scale_value(1.0000001f), scale_value(1.0f)},
+        std::pair{additive_noise(1e-7f), additive_noise(2e-7f)},
+        std::pair{saturate(1e-7f), saturate(2e-7f)}}) {
+    c.error_model = a;
+    const std::uint64_t fp = campaign_fingerprint(c, "ctx");
+    c.error_model = b;
+    EXPECT_NE(campaign_fingerprint(c, "ctx"), fp) << a.name;
+  }
+  EXPECT_EQ(error_model_identity(small),
+            "random_value[0.000000,0.000000]#00000000,33d6bf95");
+}
+
+TEST(CheckpointFingerprint, ParameterlessAndBitIndexModelsDoNotMove) {
+  // Values computed before exact parameter bits entered the fingerprint:
+  // models whose display name is already exact keep their identity, so
+  // existing checkpoints and shard manifests stay resumable.
+  struct Pinned {
+    ErrorModel model;
+    std::uint64_t campaign;
+    std::uint64_t weight;
+  };
+  const Pinned pinned[] = {
+      {single_bit_flip(), 17944046005117756988ull, 5043557651907419077ull},
+      {single_bit_flip(3), 2997490951145705952ull, 15601444123419696777ull},
+      {multi_bit_flip(2), 5061826480058669300ull, 15733537695528346253ull},
+      {stuck_at_bit(4, 1), 5392641955945036119ull, 17230323075064335544ull},
+      {zero_value(), 5916559975651387791ull, 1425266743291644616ull},
+      {sign_flip(), 17550195164769300126ull, 15250750146797354319ull},
+  };
+  for (const Pinned& p : pinned) {
+    CampaignConfig c;
+    c.error_model = p.model;
+    c.trials = 100;
+    c.seed = 5;
+    WeightCampaignConfig w;
+    w.error_model = p.model;
+    w.faults = 10;
+    w.seed = 5;
+    EXPECT_EQ(campaign_fingerprint(c, "ctx"), p.campaign) << p.model.name;
+    EXPECT_EQ(weight_campaign_fingerprint(w, "ctx"), p.weight)
+        << p.model.name;
+    EXPECT_EQ(error_model_identity(p.model), p.model.name);
+  }
 }
 
 TEST(CheckpointFingerprint, ThreadCountDeliberatelyExcluded) {

@@ -12,11 +12,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/calibrate.hpp"
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "core/fault_injector.hpp"
@@ -574,6 +576,288 @@ TEST(PrefixProfiler, AttachedProfilerDisablesReuseAndMatchesCacheOff) {
   // The cache-on profile announces why it can trust its own numbers.
   EXPECT_NE(with_cache.table().find("prefix-cache reuse disabled"),
             std::string::npos);
+}
+
+// ------------------------------------------------ row-sliced faulty passes ----
+
+/// The numeric resolutions a row-sliced pass must reproduce bit for bit.
+enum class Res { kFp32, kFp16, kBf16, kFp16Native, kStaticInt8 };
+
+const char* res_name(Res r) {
+  switch (r) {
+    case Res::kFp32: return "fp32";
+    case Res::kFp16: return "fp16";
+    case Res::kBf16: return "bf16";
+    case Res::kFp16Native: return "fp16-native";
+    case Res::kStaticInt8: return "int8-static";
+  }
+  return "?";
+}
+
+/// Error-model calls seen by one injector: the flat index each call was
+/// handed and the injector-RNG draw it made.
+struct CallLog {
+  std::vector<std::int64_t> flats;
+  std::vector<std::uint64_t> draws;
+};
+
+/// Perturbs by an amount drawn from the injector RNG, logging the call, so
+/// both the indices error models see and the draw order are observable.
+ErrorModel logging_model(CallLog& log) {
+  return {"logging", [&log](float v, const InjectionContext& ctx) {
+            const std::uint64_t d = ctx.rng->next_u64();
+            log.flats.push_back(ctx.flat_index);
+            log.draws.push_back(d);
+            return v + 0.5f + static_cast<float>(d % 64);
+          }};
+}
+
+/// One side of a sliced-vs-full comparison: an injector (cache on or off)
+/// with a trace sink and call log attached.
+struct SliceSide {
+  Rig rig;
+  trace::TraceSink sink;
+  CallLog log;
+
+  SliceSide(const std::string& net, const FiConfig& cfg) : rig(net, cfg) {
+    rig.fi->set_trace_sink(&sink);
+  }
+  FaultInjector& fi() { return *rig.fi; }
+  std::uint64_t sliced() const {
+    return rig.fi->prefix_cache() == nullptr
+               ? 0
+               : rig.fi->prefix_cache()->stats().row_sliced_passes;
+  }
+};
+
+/// Arms the same three faults on `row` of both sides — a logged neuron
+/// fault on layer `site` (served AT the site from the cache), a random-bit
+/// fmap fault two thirds in and a random-bit neuron fault on the last layer
+/// (both applied by the real hooks on the executing row) — runs the
+/// cache-on kReusePrefix pass against the cache-off pass, and checks every
+/// observable matches. Returns how many passes `on` row-sliced.
+std::uint64_t compare_faulty_pass(SliceSide& on, SliceSide& off,
+                                  const Tensor& in, std::int64_t row,
+                                  std::int64_t site, const std::string& what) {
+  (void)on.fi().forward(in, ForwardMode::kRecordGolden);
+  (void)off.fi().forward(in, ForwardMode::kRecordGolden);
+  const std::int64_t n = on.fi().num_layers();
+  const std::uint64_t before = on.sliced();
+  Rng pick(static_cast<std::uint64_t>(7 + row));
+  NeuronLocation first = on.fi().random_neuron_location(pick, site);
+  NeuronLocation last = on.fi().random_neuron_location(pick, n - 1);
+  first.batch = last.batch = row;
+  const NeuronLocation mid = on.fi().random_neuron_location(pick, 2 * n / 3);
+  for (SliceSide* side : {&on, &off}) {
+    side->sink.clear();
+    side->fi().reseed(static_cast<std::uint64_t>(31 + row));
+    side->fi().declare_neuron_fault(first, logging_model(side->log));
+    side->fi().declare_fmap_fault(mid.layer, mid.c, row, single_bit_flip());
+    side->fi().declare_neuron_fault(last, single_bit_flip());
+  }
+  const Tensor a = on.fi().forward(in, ForwardMode::kReusePrefix);
+  const Tensor b = off.fi().forward(in, ForwardMode::kReusePrefix);
+  on.fi().clear();
+  off.fi().clear();
+
+  EXPECT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        b.data().size() * sizeof(float)),
+            0)
+      << what << ": logits differ";
+  EXPECT_EQ(trace::trace_to_jsonl(on.sink.events()),
+            trace::trace_to_jsonl(off.sink.events()))
+      << what << ": trace events differ";
+  EXPECT_EQ(on.sink.events().empty(), row >= in.size(0)) << what;
+  EXPECT_EQ(on.fi().injections_performed(), off.fi().injections_performed())
+      << what;
+  EXPECT_EQ(on.log.flats, off.log.flats)
+      << what << ": error models must see full-batch flat indices";
+  EXPECT_EQ(on.log.draws, off.log.draws) << what;
+
+  // The injector RNG continues identically after the pass.
+  std::uint64_t next[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    SliceSide& side = i == 0 ? on : off;
+    CallLog probe;
+    side.fi().declare_neuron_fault({.layer = 0, .batch = 0},
+                                   logging_model(probe));
+    (void)side.fi().forward(in, ForwardMode::kPlain);
+    side.fi().clear();
+    next[i] = probe.draws.empty() ? 0 : probe.draws.front();
+  }
+  EXPECT_EQ(next[0], next[1]) << what << ": next injector RNG draw differs";
+  return on.sliced() - before;
+}
+
+FiConfig resolution_config(Res res, const std::string& net) {
+  FiConfig cfg = small_config();
+  switch (res) {
+    case Res::kFp32: break;
+    case Res::kFp16: cfg.dtype = DType::kFloat16; break;
+    case Res::kBf16: cfg.dtype = DType::kBFloat16; break;
+    case Res::kFp16Native:
+      cfg.dtype = DType::kFloat16;
+      cfg.native = true;
+      break;
+    case Res::kStaticInt8: {
+      Rig calib(net);
+      Rng rng(55);
+      const std::vector<Tensor> batches = {
+          Tensor::rand({4, 3, 32, 32}, rng, -1.0f, 1.0f)};
+      cfg.dtype = DType::kInt8;
+      cfg.native = true;
+      cfg.static_act = std::make_shared<const quant::StaticActQuant>(
+          calibrate_static_act(*calib.fi, batches));
+      break;
+    }
+  }
+  return cfg;
+}
+
+class PrefixRowSliceZoo : public ::testing::TestWithParam<std::string> {};
+
+// Oracle: the cache-off full-batch pass. Rows 0 and last run sliced — the
+// last row also with its first fault on layer 1, so the served stem leaves
+// feed joins that really execute; a fault on a row beyond a partial final
+// batch takes (and matches) the full pass.
+TEST_P(PrefixRowSliceZoo, MatchesFullBatchPassAtEveryResolution) {
+  const std::string net = GetParam();
+  for (const Res res : {Res::kFp32, Res::kFp16, Res::kBf16, Res::kFp16Native,
+                        Res::kStaticInt8}) {
+    const std::string what = net + " " + res_name(res);
+    FiConfig cfg = resolution_config(res, net);
+    SliceSide on(net, cfg);
+    cfg.prefix_cache = false;
+    SliceSide off(net, cfg);
+
+    const Tensor in = small_input(61);
+    const std::int64_t third = on.fi().num_layers() / 3;
+    EXPECT_EQ(compare_faulty_pass(on, off, in, 0, third, what + " row 0"), 1u);
+    EXPECT_EQ(compare_faulty_pass(on, off, in, 3, third, what + " row 3"), 1u);
+    EXPECT_EQ(compare_faulty_pass(on, off, in, 3, 1, what + " row 3 site 1"),
+              1u);
+    Rng rng(62);
+    const Tensor partial = Tensor::rand({2, 3, 32, 32}, rng, -1.0f, 1.0f);
+    EXPECT_EQ(
+        compare_faulty_pass(on, off, partial, 3, third, what + " row 3 of 2"),
+        0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, PrefixRowSliceZoo,
+    ::testing::ValuesIn(models::model_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+/// Runs `arm` on both sides after a golden record of `in`, then the cache-on
+/// kReusePrefix pass of `run_in` against the cache-off one; expects equal
+/// logits and no row-sliced pass.
+void expect_full_pass(const std::string& what, FiConfig cfg,
+                      const std::function<void(FaultInjector&)>& arm,
+                      const Tensor& in, const Tensor& run_in) {
+  SliceSide on("squeezenet", cfg);
+  cfg.prefix_cache = false;
+  SliceSide off("squeezenet", cfg);
+  Tensor out[2];
+  for (int i = 0; i < 2; ++i) {
+    FaultInjector& fi = i == 0 ? on.fi() : off.fi();
+    (void)fi.forward(in, ForwardMode::kRecordGolden);
+    arm(fi);
+    out[i] = fi.forward(run_in, ForwardMode::kReusePrefix);
+    fi.clear();
+    fi.heal_persistent_faults();
+  }
+  EXPECT_EQ(on.sliced(), 0u) << what << " must take the full-batch pass";
+  EXPECT_TRUE(allclose(out[0], out[1], 0.0f)) << what;
+  EXPECT_EQ(trace::trace_to_jsonl(on.sink.events()),
+            trace::trace_to_jsonl(off.sink.events()))
+      << what;
+}
+
+TEST(PrefixRowSlice, ExcludedCasesTakeTheFullPass) {
+  const Tensor in = small_input(71);
+  const auto one_row = [](FaultInjector& fi) {
+    fi.declare_neuron_fault({.layer = 3, .batch = 1, .c = 0, .h = 1, .w = 1},
+                            single_bit_flip(6));
+  };
+
+  // Batch-coupled INT8 calibration: emulated, and native dynamic.
+  FiConfig emulated = small_config();
+  emulated.dtype = DType::kInt8;
+  expect_full_pass("emulated int8", emulated, one_row, in, in);
+  FiConfig dynamic = emulated;
+  dynamic.native = true;
+  expect_full_pass("native dynamic int8", dynamic, one_row, in, in);
+
+  expect_full_pass("all batch elements", small_config(),
+                   [](FaultInjector& fi) {
+                     fi.declare_neuron_fault({.layer = 3, .c = 0, .h = 1},
+                                             single_bit_flip(6));
+                   },
+                   in, in);
+  expect_full_pass("two rows", small_config(),
+                   [&](FaultInjector& fi) {
+                     one_row(fi);
+                     fi.declare_neuron_fault(
+                         {.layer = 5, .batch = 2, .c = 1}, single_bit_flip(6));
+                   },
+                   in, in);
+  expect_full_pass("weight fault", small_config(),
+                   [&](FaultInjector& fi) {
+                     one_row(fi);
+                     fi.declare_weight_fault({.layer = 6}, zero_value());
+                   },
+                   in, in);
+  expect_full_pass("persistent write", small_config(),
+                   [&](FaultInjector& fi) {
+                     one_row(fi);
+                     fi.write_persistent_bit(6, 0, 30, -1, 0, "persist");
+                   },
+                   in, in);
+  // A different tensor (same values, other storage) is not the recorded
+  // input: its golden rows are unknown.
+  expect_full_pass("different input", small_config(), one_row, in,
+                   in.clone());
+
+  // An attached profiler needs every layer to really execute.
+  trace::Profiler profiler;
+  SliceSide on("squeezenet", small_config());
+  on.fi().set_profiler(&profiler);
+  (void)on.fi().forward(in, ForwardMode::kRecordGolden);
+  one_row(on.fi());
+  (void)on.fi().forward(in, ForwardMode::kReusePrefix);
+  on.fi().clear();
+  EXPECT_EQ(on.sliced(), 0u) << "profiler attached";
+  on.fi().set_profiler(nullptr);
+}
+
+TEST(PrefixRowSlice, CampaignSlicesAndReportsTheShare) {
+  TempFile ckpt(::testing::TempDir() + "pfi_rowslice.ckpt");
+  TempFile tr(::testing::TempDir() + "pfi_rowslice.jsonl");
+  TempFile csv(::testing::TempDir() + "pfi_rowslice.csv");
+  PrefixCacheStats s;
+  (void)run_neuron_campaign(true, 1, ckpt.path, tr.path, csv.path, &s);
+  EXPECT_GT(s.row_sliced_passes, 0u);
+  EXPECT_LE(s.row_sliced_passes, s.reuse_passes + s.fallback_passes);
+
+  PrefixCacheStats a;
+  a.reuse_passes = 900;
+  a.fallback_passes = 100;
+  a.row_sliced_passes = 800;
+  PrefixCacheStats b;
+  b.row_sliced_passes = 12;
+  a.absorb(b);
+  EXPECT_EQ(a.row_sliced_passes, 812u);
+  const std::string line = prefix_cache_summary(a, 256u << 20);
+  EXPECT_NE(line.find("812/1000 faulty passes row-sliced"), std::string::npos)
+      << line;
+  EXPECT_EQ(prefix_cache_summary(PrefixCacheStats{}, 256u << 20)
+                .find("row-sliced"),
+            std::string::npos)
+      << "no sliced pass, no mention";
 }
 
 // ------------------------------------------------------ env knob parsing ----

@@ -420,6 +420,51 @@ TEST(Sampling, PrefixCacheDoesNotChangeResults) {
   }
 }
 
+// Batch-4 units whose faults sit in one row run row-sliced with the cache
+// on. A zero budget serves nothing, so the stratum's layer recomputes on the
+// lone row while the pruner's golden-capture hook is still attached; the
+// capture must keep the golden batch, not that row.
+TEST(Sampling, RowSlicedUnitsMatchCacheOffAtAnyBudget) {
+  const auto& fx = tiny();
+  auto run = [&](bool cache, std::int64_t budget_mb, trace::TraceSink& sink,
+                 std::uint64_t* sliced) {
+    FiConfig cfg = tiny_fi_config();
+    cfg.batch_size = 4;
+    cfg.prefix_cache = cache;
+    cfg.prefix_cache_mb = budget_mb;
+    FaultInjector fi(fx.model, cfg);
+    StratifiedCampaignConfig scfg = tiny_campaign(35, 2);
+    scfg.base.batch_size = 4;
+    scfg.base.injections_per_image = 3;
+    scfg.base.trace = &sink;
+    const StratifiedResult r = run_stratified_campaign(fi, fx.ds, scfg);
+    if (sliced != nullptr) {
+      *sliced = fi.prefix_cache()->stats().row_sliced_passes;
+    }
+    return r;
+  };
+  trace::TraceSink off_sink, full_sink, zero_sink;
+  std::uint64_t full_sliced = 0, zero_sliced = 0;
+  const StratifiedResult off = run(false, 0, off_sink, nullptr);
+  const StratifiedResult full = run(true, 256, full_sink, &full_sliced);
+  const StratifiedResult zero = run(true, 0, zero_sink, &zero_sliced);
+  EXPECT_GT(off.pruned, 0u) << "the pruner must be exercised";
+  EXPECT_GT(full_sliced, 0u);
+  EXPECT_GT(zero_sliced, 0u);
+  for (const StratifiedResult* r : {&full, &zero}) {
+    EXPECT_TRUE(same_bits(off.totals, r->totals));
+    EXPECT_EQ(off.pruned, r->pruned);
+  }
+  EXPECT_EQ(csv_bytes(off, "rs_off"), csv_bytes(full, "rs_full"));
+  EXPECT_EQ(csv_bytes(off, "rs_off"), csv_bytes(zero, "rs_zero"));
+  if constexpr (trace::kEnabled) {
+    EXPECT_EQ(trace::trace_to_jsonl(off_sink.events()),
+              trace::trace_to_jsonl(full_sink.events()));
+    EXPECT_EQ(trace::trace_to_jsonl(off_sink.events()),
+              trace::trace_to_jsonl(zero_sink.events()));
+  }
+}
+
 void kill_and_resume_case(std::int64_t threads,
                           const FiConfig& fi_cfg = tiny_fi_config(),
                           const std::string& suffix = "") {

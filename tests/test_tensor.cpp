@@ -70,6 +70,25 @@ TEST(Tensor, ReshapeSharesAndValidates) {
   EXPECT_THROW(t.reshape({5, 5}), Error);
 }
 
+TEST(Tensor, BatchRowCopiesOneRowAndCopyRowFromWritesIt) {
+  Tensor t = Tensor::arange(24).reshape({3, 2, 2, 2});
+  const Tensor row = t.batch_row(1);
+  EXPECT_EQ(row.shape(), (Shape{1, 2, 2, 2}));
+  EXPECT_FALSE(row.shares_storage_with(t));
+  for (std::int64_t i = 0; i < 8; ++i) EXPECT_EQ(row[i], 8.0f + i);
+  EXPECT_THROW(t.batch_row(3), Error);
+  EXPECT_THROW(t.batch_row(-1), Error);
+
+  t.copy_row_from(2, row);
+  for (std::int64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(t[16 + i], 8.0f + i);
+    EXPECT_EQ(t[i], static_cast<float>(i)) << "other rows untouched";
+  }
+  EXPECT_THROW(t.copy_row_from(3, row), Error);
+  EXPECT_THROW(t.copy_row_from(0, Tensor({1, 2, 2, 1})), Error);
+  EXPECT_THROW(t.copy_row_from(0, Tensor({2, 2, 2, 2})), Error);
+}
+
 TEST(Tensor, FillCopyFromAdd) {
   Tensor a({3}), b({3});
   a.fill(2.0f);
