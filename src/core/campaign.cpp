@@ -8,96 +8,107 @@
 #include "core/campaign_internal.hpp"
 #include "core/checkpoint.hpp"
 #include "nn/loss.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pfi::core {
 
 namespace detail {
 
-AttemptOutcome run_campaign_attempt(FaultInjector& fi,
-                                    const data::SyntheticDataset& ds,
-                                    const CampaignConfig& config,
-                                    std::int64_t attempt) {
-  const auto a = static_cast<std::uint64_t>(attempt);
-  Rng rng(derive_seed(config.seed, a, kDrawStream));
-  fi.reseed(derive_seed(config.seed, a, kInjectorStream));
-
-  // Worker-local trace buffer: single-threaded, lock-free; the merge step
-  // moves its contents into the caller's sink in attempt order.
-  const bool tracing = config.trace != nullptr;
-  trace::TraceSink local(tracing && config.trace->capture_logits());
-  ScopedSink sink_guard(fi, tracing ? &local : fi.trace_sink());
-
-  AttemptOutcome out;
-  const auto batch = ds.sample_batch(config.batch_size, rng);
-
+AttemptScope::AttemptScope(FaultInjector& fi_,
+                           const data::SyntheticDataset& ds,
+                           const trace::TraceSink* trace,
+                           std::int64_t batch_size, std::uint64_t root_seed,
+                           std::uint64_t attempt, std::uint64_t trace_id_)
+    : fi(fi_),
+      tracing(trace != nullptr),
+      rng(derive_seed(root_seed, attempt, kDrawStream)),
+      local(tracing && trace->capture_logits()),
+      trace_id(trace_id_),
+      sink_guard(fi_, tracing ? &local : fi_.trace_sink()) {
+  fi.reseed(derive_seed(root_seed, attempt, kInjectorStream));
+  batch = ds.sample_batch(batch_size, rng);
   // Golden run (dtype emulation still active; faults are not), recorded as
   // the attempt's reusable prefix. Argmaxed once; every rep scores against
   // these indices.
   fi.clear();
-  const Tensor golden =
-      fi.forward(batch.images, ForwardMode::kRecordGolden);
-  const auto golden_top1 = nn::argmax_rows(golden);
-
-  // The paper only injects into inferences that are correct to begin with.
-  std::vector<std::int64_t> eligible;
+  golden = fi.forward(batch.images, ForwardMode::kRecordGolden);
+  golden_top1 = nn::argmax_rows(golden);
   for (std::size_t i = 0; i < batch.labels.size(); ++i) {
     if (golden_top1[i] == batch.labels[i]) {
       eligible.push_back(static_cast<std::int64_t>(i));
     } else {
-      ++out.skipped;
+      ++skipped;
     }
   }
-  if (eligible.empty()) return out;
+}
+
+std::int64_t AttemptScope::begin_rep(std::int64_t rep, bool whole_batch) {
+  if (tracing) local.set_context(trace_id, static_cast<std::int32_t>(rep));
+  return whole_batch ? kAllBatchElements
+                     : eligible[rng.next_below(eligible.size())];
+}
+
+UnitOutcome::Rep AttemptScope::run_faulty(std::int64_t row,
+                                          CorruptionCriterion criterion) {
+  const Tensor faulty = fi.forward(batch.images, ForwardMode::kReusePrefix);
+  fi.clear();
+  const RepScorer scorer(golden_top1, faulty, criterion);
+  return finish_rep(faulty, row, scorer.faulty_non_finite, &scorer);
+}
+
+UnitOutcome::Rep AttemptScope::finish_rep(const Tensor& logits,
+                                          std::int64_t row, bool non_finite,
+                                          const RepScorer* scorer) {
+  UnitOutcome::Rep r;
+  r.non_finite = non_finite;
+  if (tracing) {
+    r.events = local.take_events();
+    if (local.capture_logits()) r.logits = logits.clone();
+  }
+  // Score each eligible element the fault touched.
+  for (const std::int64_t e : eligible) {
+    if (row != kAllBatchElements && row != e) continue;
+    r.corrupted.push_back(scorer != nullptr && scorer->is_corrupted(e) ? 1
+                                                                       : 0);
+  }
+  return r;
+}
+
+UnitOutcome run_campaign_attempt(FaultInjector& fi,
+                                 const data::SyntheticDataset& ds,
+                                 const CampaignConfig& config,
+                                 std::int64_t attempt) {
+  const auto a = static_cast<std::uint64_t>(attempt);
+  AttemptScope at(fi, ds, config.trace, config.batch_size, config.seed, a, a);
+  UnitOutcome out;
+  out.attempt = a;
+  out.skipped = at.skipped;
+  if (at.eligible.empty()) return out;
 
   out.reps.reserve(static_cast<std::size_t>(config.injections_per_image));
   for (std::int64_t rep = 0; rep < config.injections_per_image; ++rep) {
-    if (tracing) local.set_context(a, static_cast<std::int32_t>(rep));
-    NeuronLocation loc;
-    loc.batch = config.same_fault_across_batch
-                    ? kAllBatchElements
-                    : eligible[rng.next_below(eligible.size())];
+    const std::int64_t row = at.begin_rep(rep, config.same_fault_across_batch);
     if (config.one_fault_per_layer) {
       for (std::int64_t l = 0; l < fi.num_layers(); ++l) {
-        NeuronLocation per = fi.random_neuron_location(rng, l);
-        per.batch = loc.batch;
+        NeuronLocation per = fi.random_neuron_location(at.rng, l);
+        per.batch = row;
         fi.declare_neuron_fault(per, config.error_model);
       }
     } else {
-      const NeuronLocation drawn = fi.random_neuron_location(rng, config.layer);
-      loc.layer = drawn.layer;
-      loc.c = drawn.c;
-      loc.h = drawn.h;
-      loc.w = drawn.w;
+      NeuronLocation loc = fi.random_neuron_location(at.rng, config.layer);
+      loc.batch = row;
       fi.declare_neuron_fault(loc, config.error_model);
     }
-    const Tensor faulty = fi.forward(batch.images, ForwardMode::kReusePrefix);
-    fi.clear();
-
-    const RepScorer scorer(golden_top1, faulty, config.criterion);
-    AttemptOutcome::Rep r;
-    r.non_finite = scorer.faulty_non_finite;
-    if (tracing) {
-      r.attempt = a;
-      r.rep_index = static_cast<std::int32_t>(rep);
-      r.events = local.take_events();
-      if (local.capture_logits()) r.logits = faulty.clone();
-    }
-    // Score each eligible element the fault touched.
-    for (const std::int64_t row : eligible) {
-      if (loc.batch != kAllBatchElements && loc.batch != row) continue;
-      r.corrupted.push_back(scorer.is_corrupted(row) ? 1 : 0);
-    }
-    out.reps.push_back(std::move(r));
+    out.reps.push_back(at.run_faulty(row, config.criterion));
   }
   return out;
 }
 
-bool merge_campaign_attempt(CampaignResult& acc, AttemptOutcome& outcome,
+bool merge_campaign_attempt(CampaignResult& acc, UnitOutcome& outcome,
                             std::uint64_t target, trace::TraceSink* sink) {
   acc.skipped += outcome.skipped;
-  for (auto& rep : outcome.reps) {
+  for (std::size_t r = 0; r < outcome.reps.size(); ++r) {
     if (acc.trials >= target) break;
+    UnitOutcome::Rep& rep = outcome.reps[r];
     if (rep.non_finite) ++acc.non_finite;
     if (sink != nullptr) {
       // The rep made the cut, so its trace ships: its events are stamped
@@ -105,8 +116,8 @@ bool merge_campaign_attempt(CampaignResult& acc, AttemptOutcome& outcome,
       for (trace::InjectionEvent& ev : rep.events) ev.trial = acc.trials;
       sink->append(std::move(rep.events));
       if (sink->capture_logits() && rep.logits.defined()) {
-        sink->append_logits(
-            {rep.attempt, rep.rep_index, std::move(rep.logits)});
+        sink->append_logits({outcome.attempt, static_cast<std::int32_t>(r),
+                             std::move(rep.logits)});
       }
     }
     for (const std::uint8_t corrupted : rep.corrupted) {
@@ -118,34 +129,8 @@ bool merge_campaign_attempt(CampaignResult& acc, AttemptOutcome& outcome,
   return acc.trials >= target;
 }
 
-std::int64_t campaign_attempt_cap(const CampaignConfig& config) {
-  return config.attempt_cap > 0 ? config.attempt_cap
-                                : 10'000 + config.trials * 1'000;
-}
-
-}  // namespace detail
-
-namespace {
-
-using detail::AttemptOutcome;
-using detail::campaign_attempt_cap;
-using detail::has_non_finite;
-using detail::kDrawStream;
-using detail::kInjectorStream;
-using detail::kSerialCommitEvery;
-using detail::merge_campaign_attempt;
-using detail::RepScorer;
-using detail::resolve_threads;
-using detail::run_campaign_attempt;
-using detail::ScopedSink;
-using detail::WaveCommitter;
-using detail::WorkerSet;
-
-}  // namespace
-
-CampaignResult run_classification_campaign(FaultInjector& fi,
-                                           const data::SyntheticDataset& ds,
-                                           const CampaignConfig& config) {
+void check_campaign_config(const FaultInjector& fi,
+                           const CampaignConfig& config) {
   PFI_CHECK(config.trials > 0) << "campaign trials=" << config.trials;
   PFI_CHECK(config.error_model.apply != nullptr)
       << "campaign error model is unset";
@@ -158,6 +143,59 @@ CampaignResult run_classification_campaign(FaultInjector& fi,
   PFI_CHECK(config.threads >= 0) << "campaign threads=" << config.threads;
   PFI_CHECK(config.attempt_cap >= 0)
       << "campaign attempt_cap=" << config.attempt_cap;
+}
+
+std::int64_t campaign_attempt_cap(const CampaignConfig& config) {
+  return config.attempt_cap > 0 ? config.attempt_cap
+                                : 10'000 + config.trials * 1'000;
+}
+
+}  // namespace detail
+
+namespace {
+
+using detail::AttemptScope;
+using detail::campaign_attempt_cap;
+using detail::kDrawStream;
+using detail::kInjectorStream;
+using detail::merge_campaign_attempt;
+using detail::RepScorer;
+using detail::resolve_threads;
+using detail::run_campaign_attempt;
+using detail::ScopedSink;
+using detail::UnitOutcome;
+using detail::wave_bound;
+using detail::WaveCommitter;
+using detail::WaveEngine;
+
+/// The uniform runner's next wave: sized from the observed trial yield per
+/// attempt (first wave: assume the maximum, so we under- rather than
+/// over-commit), rounded up to whole rounds of the T workers, bounded by
+/// wave_bound(T), and clamped so it never runs an attempt at or past the
+/// attempt cap.
+std::int64_t uniform_wave(const CampaignResult& result, std::uint64_t target,
+                          std::int64_t next_attempt, std::int64_t max_yield,
+                          std::int64_t threads, std::int64_t cap) {
+  const std::uint64_t remaining = target - result.trials;
+  const double yield =
+      next_attempt > 0
+          ? std::max(0.25, static_cast<double>(result.trials) /
+                               static_cast<double>(next_attempt))
+          : static_cast<double>(max_yield);
+  const auto estimate = static_cast<std::int64_t>(
+      std::ceil(static_cast<double>(remaining) / yield));
+  const std::int64_t rounds = ((estimate + threads - 1) / threads) * threads;
+  return std::min(
+      std::clamp<std::int64_t>(rounds, threads, wave_bound(threads)),
+      std::max<std::int64_t>(1, cap - next_attempt));
+}
+
+}  // namespace
+
+CampaignResult run_classification_campaign(FaultInjector& fi,
+                                           const data::SyntheticDataset& ds,
+                                           const CampaignConfig& config) {
+  detail::check_campaign_config(fi, config);
 
   fi.model().eval();
   const auto target = static_cast<std::uint64_t>(config.trials);
@@ -181,64 +219,21 @@ CampaignResult run_classification_campaign(FaultInjector& fi,
   }
   WaveCommitter committer(config.checkpoint, config.trace);
 
-  if (threads == 1) {
-    std::int64_t since_commit = 0;
-    bool done = result.trials >= target;
-    while (!done) {
-      AttemptOutcome outcome = run_campaign_attempt(fi, ds, config, next_attempt);
-      done = merge_campaign_attempt(result, outcome, target, config.trace);
-      ++next_attempt;
-      ++since_commit;
-      if (!done && next_attempt >= cap) {
-        result.gave_up = 1;
-        done = true;
-      }
-      if (done || since_commit >= kSerialCommitEvery) {
-        committer.commit(result, static_cast<std::uint64_t>(next_attempt),
-                         done);
-        since_commit = 0;
-      }
-    }
-    return result;
-  }
-
-  WorkerSet set(fi, threads);
-  util::ThreadPool pool(static_cast<std::size_t>(threads));
+  WaveEngine engine(fi, threads);
   bool done = result.trials >= target;
   while (!done) {
-    // Size the wave from the observed trial yield per attempt (first wave:
-    // assume the maximum, so we under- rather than over-commit).
-    const std::uint64_t remaining = target - result.trials;
-    const double yield =
-        next_attempt > 0
-            ? std::max(0.25, static_cast<double>(result.trials) /
-                                 static_cast<double>(next_attempt))
-            : static_cast<double>(max_yield);
-    const auto estimate = static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(remaining) / yield));
-    // Cap waves at 8 attempts per worker: attempts past the trial target are
-    // computed but discarded, so a huge final wave is pure waste, while the
-    // per-wave barrier costs only microseconds.
-    const std::int64_t wave =
-        std::clamp<std::int64_t>(((estimate + threads - 1) / threads) * threads,
-                                 threads, threads * 8);
-
-    std::vector<AttemptOutcome> outcomes(static_cast<std::size_t>(wave));
     const std::int64_t base = next_attempt;
-    pool.run(static_cast<std::size_t>(threads), [&](std::size_t g) {
-      // Worker g owns replica g and the wave's attempts congruent to g, so
-      // no injector is touched by two tasks.
-      for (std::int64_t i = static_cast<std::int64_t>(g); i < wave;
-           i += threads) {
-        outcomes[static_cast<std::size_t>(i)] =
-            run_campaign_attempt(*set.workers[g], ds, config, base + i);
-      }
-    });
-    for (std::int64_t i = 0; i < wave && !done; ++i) {
-      done = merge_campaign_attempt(result, outcomes[static_cast<std::size_t>(i)],
-                           target, config.trace);
-    }
-    next_attempt += wave;
+    const std::int64_t wave =
+        uniform_wave(result, target, base, max_yield, threads, cap);
+    next_attempt += engine.run(
+        wave,
+        [&](std::size_t g, std::int64_t i) {
+          return run_campaign_attempt(engine.worker(g), ds, config, base + i);
+        },
+        [&](std::int64_t, UnitOutcome& out) {
+          return done = merge_campaign_attempt(result, out, target,
+                                               config.trace);
+        });
     if (!done && next_attempt >= cap) {
       result.gave_up = 1;
       done = true;
@@ -274,48 +269,33 @@ CampaignResult run_weight_campaign(FaultInjector& fi,
   };
   auto run_fault = [&](FaultInjector& worker, std::int64_t f) {
     const auto fu = static_cast<std::uint64_t>(f);
-    Rng rng(derive_seed(config.seed, fu, kDrawStream));
-    worker.reseed(derive_seed(config.seed, fu, kInjectorStream));
-
-    trace::TraceSink local(tracing && config.trace->capture_logits());
-    ScopedSink sink_guard(worker, tracing ? &local : worker.trace_sink());
-    if (tracing) local.set_context(fu, 0);
-
+    AttemptScope at(worker, ds, config.trace, config.images_per_fault,
+                    config.seed, fu, fu);
+    if (at.tracing) at.local.set_context(fu, 0);
     FaultOutcome out;
-    const auto batch = ds.sample_batch(config.images_per_fault, rng);
-    worker.clear();
-    // No .clone(): every layer's forward writes fresh storage, so the
-    // faulty pass below cannot alias or overwrite the golden logits
-    // (pinned by PrefixReplay.ForwardOutputsNeverAlias).
-    const Tensor golden =
-        worker.forward(batch.images, ForwardMode::kRecordGolden);
-    const auto golden_top1 = nn::argmax_rows(golden);
+    out.counts.skipped = at.skipped;  // golden already wrong: not scored
 
-    const WeightLocation loc = worker.random_weight_location(rng, config.layer);
+    const WeightLocation loc =
+        worker.random_weight_location(at.rng, config.layer);
     worker.declare_weight_fault(loc, config.error_model);
+    // No .clone() of the golden logits: every layer's forward writes fresh
+    // storage, so this pass cannot alias or overwrite them (pinned by
+    // PrefixReplay.ForwardOutputsNeverAlias).
     const Tensor faulty =
-        worker.forward(batch.images, ForwardMode::kReusePrefix);
-
-    const RepScorer scorer(golden_top1, faulty, config.criterion);
+        worker.forward(at.batch.images, ForwardMode::kReusePrefix);
+    const RepScorer scorer(at.golden_top1, faulty, config.criterion);
     if (scorer.faulty_non_finite) ++out.counts.non_finite;
-
-    for (std::size_t i = 0; i < batch.labels.size(); ++i) {
-      if (golden_top1[i] != batch.labels[i]) {
-        ++out.counts.skipped;  // golden already wrong: not a valid experiment
-        continue;
-      }
+    for (const std::int64_t row : at.eligible) {
       ++out.counts.trials;
-      if (scorer.is_corrupted(static_cast<std::int64_t>(i))) {
-        ++out.counts.corruptions;
-      }
+      if (scorer.is_corrupted(row)) ++out.counts.corruptions;
     }
     worker.clear();  // restore the weight
-    if (tracing) {
-      out.events = local.take_events();
+    if (at.tracing) {
+      out.events = at.local.take_events();
       // A weight fault is declared offline: the event stream already holds
       // it, and every image of the batch scores against the same faulty
       // forward, so one logits record per fault suffices.
-      if (local.capture_logits()) out.logits = faulty.clone();
+      if (at.local.capture_logits()) out.logits = faulty.clone();
     }
     return out;
   };
@@ -352,45 +332,23 @@ CampaignResult run_weight_campaign(FaultInjector& fi,
   const std::int64_t threads =
       resolve_threads(config.threads,
                       std::max<std::int64_t>(1, config.faults / 4));
-  if (threads == 1) {
-    std::int64_t since_commit = 0;
-    while (next_fault < config.faults) {
-      FaultOutcome out = run_fault(fi, next_fault);
-      merge_fault(out, next_fault);
-      ++next_fault;
-      ++since_commit;
-      const bool done = next_fault >= config.faults;
-      if (config.checkpoint != nullptr &&
-          (done || since_commit >= kSerialCommitEvery)) {
-        committer.commit(result, static_cast<std::uint64_t>(next_fault), done);
-        since_commit = 0;
-      }
-    }
-    return result;
-  }
-
-  WorkerSet set(fi, threads);
-  util::ThreadPool pool(static_cast<std::size_t>(threads));
-  // Faults run in waves of 8 per worker (like the classification runner):
-  // per-fault outcomes are pure functions of the fault index, so the wave
+  WaveEngine engine(fi, threads);
+  // Per-fault outcomes are pure functions of the fault index, so the wave
   // partition changes nothing about the merged result — it only bounds the
   // outcome buffer and gives the checkpointer its commit points.
   while (next_fault < config.faults) {
-    const std::int64_t wave =
-        std::min<std::int64_t>(threads * 8, config.faults - next_fault);
-    std::vector<FaultOutcome> outcomes(static_cast<std::size_t>(wave));
     const std::int64_t base = next_fault;
-    pool.run(static_cast<std::size_t>(threads), [&](std::size_t g) {
-      for (std::int64_t i = static_cast<std::int64_t>(g); i < wave;
-           i += threads) {
-        outcomes[static_cast<std::size_t>(i)] =
-            run_fault(*set.workers[g], base + i);
-      }
-    });
-    for (std::int64_t i = 0; i < wave; ++i) {
-      merge_fault(outcomes[static_cast<std::size_t>(i)], base + i);
-    }
-    next_fault += wave;
+    const std::int64_t wave =
+        std::min(wave_bound(threads), config.faults - base);
+    next_fault += engine.run(
+        wave,
+        [&](std::size_t g, std::int64_t i) {
+          return run_fault(engine.worker(g), base + i);
+        },
+        [&](std::int64_t i, FaultOutcome& out) {
+          merge_fault(out, base + i);
+          return false;
+        });
     committer.commit(result, static_cast<std::uint64_t>(next_fault),
                      next_fault >= config.faults);
   }
@@ -482,42 +440,41 @@ FleetResult run_fleet_campaign(FaultInjector& fi,
   const std::int64_t threads =
       resolve_threads(config.threads,
                       std::max<std::int64_t>(1, (horizon - next_event) / 4));
-  WorkerSet set(fi, threads);
+  WaveEngine engine(fi, threads);
 
   // Phase A — golden predictions. Computed on the still-quiescent workers
   // (plain forwards, fault-free weights) before any persistent fault lands;
-  // each event scores its corrupted serve against these.
+  // each event scores its corrupted serve against these. Entry i belongs to
+  // event first + i.
+  const std::int64_t first = next_event;
   std::vector<std::vector<std::int64_t>> golden_top1(
-      static_cast<std::size_t>(horizon));
-  {
-    util::ThreadPool pool(static_cast<std::size_t>(threads));
-    const std::int64_t base = next_event;
-    pool.run(static_cast<std::size_t>(threads), [&](std::size_t g) {
-      for (std::int64_t t = base + static_cast<std::int64_t>(g); t < horizon;
-           t += threads) {
-        const auto batch =
-            fleet_campaign_event_batch(ds, config,
-                                       static_cast<std::uint64_t>(t));
-        golden_top1[static_cast<std::size_t>(t)] =
-            nn::argmax_rows(set.workers[g]->forward(batch.images));
-      }
-    });
-  }
+      static_cast<std::size_t>(horizon - first));
+  engine.run(
+      horizon - first,
+      [&](std::size_t g, std::int64_t i) {
+        const auto batch = fleet_campaign_event_batch(
+            ds, config, static_cast<std::uint64_t>(first + i));
+        return nn::argmax_rows(engine.worker(g).forward(batch.images));
+      },
+      [&](std::int64_t i, std::vector<std::int64_t>& top1) {
+        golden_top1[static_cast<std::size_t>(i)] = std::move(top1);
+        return false;
+      });
 
   // Phase B — the corrupted timeline. Every worker owns a PersistentFaultSet
   // over its replica and advances it through EVERY event in order (fault
   // state is a pure function of (scenario, event), so all replicas hold
   // byte-identical weights at any event); it runs the forward — and emits
   // the trace — only for the events it is assigned. Declared after the
-  // WorkerSet so the sets heal their injectors before the replicas die.
+  // engine so the sets heal their injectors before the replicas die.
   std::vector<std::unique_ptr<PersistentFaultSet>> sets;
   for (std::int64_t g = 0; g < threads; ++g) {
     sets.push_back(std::make_unique<PersistentFaultSet>(
-        *set.workers[static_cast<std::size_t>(g)], config.scenario));
+        engine.worker(static_cast<std::size_t>(g)), config.scenario));
   }
 
   auto run_event = [&](std::size_t g, std::int64_t t) {
-    FaultInjector& worker = *set.workers[g];
+    FaultInjector& worker = engine.worker(g);
     PersistentFaultSet& faults = *sets[g];
     const auto tu = static_cast<std::uint64_t>(t);
     // Catch up silently (events other workers own — their fault records are
@@ -536,7 +493,7 @@ FleetResult run_fleet_campaign(FaultInjector& fi,
     const auto batch = fleet_campaign_event_batch(ds, config, tu);
     const Tensor faulty = worker.forward(batch.images);
     const std::vector<std::int64_t>& golden =
-        golden_top1[static_cast<std::size_t>(t)];
+        golden_top1[static_cast<std::size_t>(t - first)];
     const RepScorer scorer(golden, faulty, CorruptionCriterion::kTop1Mismatch);
 
     FleetEventOutcome out;
@@ -554,7 +511,7 @@ FleetResult run_fleet_campaign(FaultInjector& fi,
     return out;
   };
 
-  auto merge_event = [&](FleetEventOutcome& out) {
+  auto merge_event = [&](std::int64_t, FleetEventOutcome& out) {
     result.rows += out.ev.rows;
     result.mismatches += out.ev.rows - out.ev.correct;
     result.non_finite += out.ev.non_finite;
@@ -566,27 +523,20 @@ FleetResult run_fleet_campaign(FaultInjector& fi,
       }
     }
     result.timeline.push_back(out.ev);
+    return false;
   };
 
-  util::ThreadPool pool(static_cast<std::size_t>(threads));
   while (next_event < horizon) {
-    // Waves of 8 events per worker, like the other runners: the partition
-    // changes nothing about the merged result, it only bounds the outcome
-    // buffer and gives the checkpointer its commit points.
-    const std::int64_t wave =
-        std::min<std::int64_t>(threads * 8, horizon - next_event);
-    std::vector<FleetEventOutcome> outcomes(static_cast<std::size_t>(wave));
+    // Waves of 8 events per worker: the partition changes nothing about the
+    // merged result, it only bounds the outcome buffer and gives the
+    // checkpointer its commit points.
     const std::int64_t base = next_event;
-    pool.run(static_cast<std::size_t>(threads), [&](std::size_t g) {
-      for (std::int64_t i = static_cast<std::int64_t>(g); i < wave;
-           i += threads) {
-        outcomes[static_cast<std::size_t>(i)] = run_event(g, base + i);
-      }
-    });
-    for (std::int64_t i = 0; i < wave; ++i) {
-      merge_event(outcomes[static_cast<std::size_t>(i)]);
-    }
-    next_event += wave;
+    const std::int64_t wave =
+        std::min<std::int64_t>(threads * 8, horizon - base);
+    next_event += engine.run(
+        wave,
+        [&](std::size_t g, std::int64_t i) { return run_event(g, base + i); },
+        merge_event);
     if (config.checkpoint != nullptr) {
       CampaignResult folded;
       folded.trials = result.rows;

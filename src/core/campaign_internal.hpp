@@ -1,54 +1,62 @@
-// Shared internals of the campaign runners (core/campaign.cpp and
-// core/sampling.cpp). Not part of the public API: everything here exists so
-// the uniform and stratified engines score, shard, trace, and checkpoint
-// attempts with IDENTICAL mechanics — the stratified estimator's claim to
-// measure the same quantity as the uniform sampler rests on that.
+// Shared internals of the campaign runners (core/campaign.cpp,
+// core/sampling.cpp and core/shard.cpp). Not part of the public API:
+// everything here exists so the uniform and stratified runners score, shard,
+// trace, and checkpoint attempts with IDENTICAL mechanics — the stratified
+// estimator's claim to measure the same quantity as the uniform sampler
+// rests on that.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
+#include "core/engine.hpp"
 #include "core/trace.hpp"
 #include "nn/loss.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pfi::core::detail {
 
-/// Everything one attempt (batch draw + golden run + its injections)
-/// observed, in execution order. Kept per-rep so the merge can reproduce
-/// the sequential stopping rule exactly: a rep that would run after the
-/// trial target was reached is discarded whole, and scored rows past the
-/// target are discarded individually. Shard runs (core/shard.cpp) serialize
-/// these records verbatim and replay the same fold at merge time — that is
-/// what makes a merged shard set byte-identical to a single-process run.
-struct AttemptOutcome {
+/// Everything one unit (batch draw + golden run + its injections)
+/// observed, in execution order. One type serves the uniform attempt, the
+/// stratified stratum attempt and the shard log record. Kept per-rep so the
+/// merge can reproduce the sequential stopping rule exactly: a rep that
+/// would run after the trial target was reached is discarded whole, and
+/// scored rows past the target are discarded individually. Shard runs
+/// (core/shard.cpp) serialize these records verbatim and replay the same
+/// fold at merge time — that is what makes a merged shard set
+/// byte-identical to a single-process run.
+struct UnitOutcome {
+  std::uint64_t stratum = 0;  ///< stratified units only
+  /// Global attempt index (uniform) or stratum-local attempt index
+  /// (stratified).
+  std::uint64_t attempt = 0;
   std::uint64_t skipped = 0;
   struct Rep {
     bool non_finite = false;
+    /// Resolved by the stratified pruner without a faulty pass; always
+    /// false for uniform units.
+    bool pruned = false;
     std::vector<std::uint8_t> corrupted;  // per scored row, in score order
     // Trace payload (only populated when the campaign is tracing): the
     // rep's injection events and, optionally, its faulty logits. Kept on
     // the rep so the ordered merge can discard them with it.
-    std::uint64_t attempt = 0;
-    std::int32_t rep_index = 0;
     std::vector<trace::InjectionEvent> events;
     Tensor logits;
   };
-  std::vector<Rep> reps;
+  std::vector<Rep> reps;  ///< reps[r] is injection r of the unit
 };
 
 /// One self-contained attempt. All randomness comes from seeds derived from
 /// (config.seed, attempt) — no shared RNG state — so the outcome is a pure
 /// function of the attempt index regardless of which worker (or which
 /// process) runs it.
-AttemptOutcome run_campaign_attempt(FaultInjector& fi,
-                                    const data::SyntheticDataset& ds,
-                                    const CampaignConfig& config,
-                                    std::int64_t attempt);
+UnitOutcome run_campaign_attempt(FaultInjector& fi,
+                                 const data::SyntheticDataset& ds,
+                                 const CampaignConfig& config,
+                                 std::int64_t attempt);
 
 /// Fold one attempt into the running result, honouring the trial target:
 /// reps after the target are dropped, and a rep's scored rows are consumed
@@ -56,20 +64,33 @@ AttemptOutcome run_campaign_attempt(FaultInjector& fi,
 /// attempts are merged strictly in index order, the folded result is the
 /// same whether the outcomes were computed serially, by a pool, or replayed
 /// from shard records.
-bool merge_campaign_attempt(CampaignResult& acc, AttemptOutcome& outcome,
+bool merge_campaign_attempt(CampaignResult& acc, UnitOutcome& outcome,
                             std::uint64_t target, trace::TraceSink* sink);
+
+/// The preconditions of a uniform campaign on `fi` (shared by the
+/// single-process runner and the shard runner).
+void check_campaign_config(const FaultInjector& fi,
+                           const CampaignConfig& config);
 
 /// Attempts are capped so a model that never classifies correctly stops
 /// instead of looping forever. Hitting the cap is not an error: the
 /// campaign returns its partial result with `gave_up` set.
 std::int64_t campaign_attempt_cap(const CampaignConfig& config);
 
-/// Commit interval for serial (threads == 1) paths, which have no natural
-/// wave barrier: checkpoint every this many folded units so fsync cost
-/// amortizes while a kill still loses only a few attempts. 32 matches the
-/// largest parallel wave (4 threads x 8 attempts) and keeps the measured
-/// overhead under 1% of campaign time (EXPERIMENTS.md).
+/// Floor of wave_bound() at any thread count. Every wave ends in one
+/// commit, so a one-thread run commits at most this many units apart: few
+/// enough that a kill loses only a few attempts, enough that fsync cost
+/// amortizes. 32 keeps the measured commit overhead near 1% of campaign
+/// time (EXPERIMENTS.md: 3.4% at 8 units per commit, 1.1% at 32).
 inline constexpr std::int64_t kSerialCommitEvery = 32;
+
+/// Wave bound of the uniform, weight and shard runners: 8 units per worker
+/// (attempts past a trial target are computed but discarded, so a huge
+/// final wave is pure waste, while the per-wave barrier costs only
+/// microseconds), and never fewer than kSerialCommitEvery.
+inline std::int64_t wave_bound(std::int64_t threads) {
+  return std::max<std::int64_t>(8 * threads, kSerialCommitEvery);
+}
 
 // Seed-derivation streams: every attempt gets one stream for data/location
 // draws and one for the injector's internal RNG (stochastic error models),
@@ -145,15 +166,10 @@ class WaveCommitter {
     }
   }
 
-  void commit(const CampaignResult& folded, std::uint64_t next_unit,
-              bool done) {
-    if (ckpt_ == nullptr) return;
-    ckpt_->commit(folded, next_unit, done, fresh_events());
-  }
-
-  /// Stratified variant: also persists the per-stratum resume states.
+  /// `strata`: the per-stratum resume states of a stratified (or fleet)
+  /// campaign; empty for the others.
   void commit(const CampaignResult& folded, std::uint64_t next_unit, bool done,
-              std::span<const StratumCheckpoint> strata) {
+              std::span<const StratumCheckpoint> strata = {}) {
     if (ckpt_ == nullptr) return;
     ckpt_->commit(folded, next_unit, done, fresh_events(), strata);
   }
@@ -173,19 +189,6 @@ class WaveCommitter {
   std::size_t committed_ = 0;
 };
 
-/// Resolve the `threads` knob: 0 = hardware concurrency, and never more
-/// workers than trial units (a replica that would run < 1 unit is pure
-/// setup cost).
-inline std::int64_t resolve_threads(std::int64_t requested,
-                                    std::int64_t units) {
-  std::int64_t t = requested == 0
-                       ? static_cast<std::int64_t>(
-                             util::ThreadPool::hardware_threads())
-                       : requested;
-  PFI_CHECK(t >= 1) << "threads=" << requested << " must be >= 0";
-  return std::clamp<std::int64_t>(t, 1, std::max<std::int64_t>(1, units));
-}
-
 /// Attach a worker-local sink to an injector for one attempt, restoring
 /// whatever sink was attached before (exception-safe).
 class ScopedSink {
@@ -203,28 +206,47 @@ class ScopedSink {
   trace::TraceSink* previous_;
 };
 
-/// Worker replicas: index 0 is the caller's injector, the rest deep clones.
-struct WorkerSet {
-  std::vector<FaultInjector*> workers;
-  std::vector<std::unique_ptr<FaultInjector>> owned;
+/// The first half every unit with a golden pass shares (uniform, weight or
+/// stratified): derive the draw and injector seeds from (root seed, attempt
+/// index), attach a worker-local trace sink when the campaign traces into
+/// `trace`, draw `batch_size` images, run the golden pass (recorded as the
+/// prefix the faulty passes reuse) and find the rows eligible for
+/// injection — the paper only injects into inferences that are correct to
+/// begin with. Then, per rep of a neuron attempt, the shared second half:
+/// draw the faulted row, and score a rep's logits into its
+/// UnitOutcome::Rep.
+struct AttemptScope {
+  /// `trace_id` is the `attempt` stamp of the unit's trace events.
+  AttemptScope(FaultInjector& fi, const data::SyntheticDataset& ds,
+               const trace::TraceSink* trace, std::int64_t batch_size,
+               std::uint64_t root_seed, std::uint64_t attempt,
+               std::uint64_t trace_id);
 
-  WorkerSet(FaultInjector& fi, std::int64_t threads) {
-    fi.clear();
-    workers.push_back(&fi);
-    for (std::int64_t t = 1; t < threads; ++t) {
-      owned.push_back(fi.replicate());
-      workers.push_back(owned.back().get());
-    }
-  }
+  /// Start rep `rep`: set the trace context and draw the batch row the
+  /// fault lands in (kAllBatchElements when `whole_batch`).
+  std::int64_t begin_rep(std::int64_t rep, bool whole_batch);
 
-  /// Replicas die with the set; fold their prefix-cache counters into the
-  /// caller's injector first so the campaign report shows whole-campaign
-  /// hit rates regardless of thread count.
-  ~WorkerSet() {
-    for (const auto& replica : owned) {
-      workers.front()->absorb_prefix_stats(*replica);
-    }
-  }
+  /// Run the faults declared on the injector for this rep, clear them, and
+  /// score the faulty logits against the golden pass.
+  UnitOutcome::Rep run_faulty(std::int64_t row, CorruptionCriterion criterion);
+
+  /// Finish a rep whose output is `logits`: take its trace events, keep the
+  /// logits if the sink captures them, and record one corruption flag per
+  /// eligible row the fault touched (all 0 when `scorer` is null).
+  UnitOutcome::Rep finish_rep(const Tensor& logits, std::int64_t row,
+                              bool non_finite, const RepScorer* scorer);
+
+  FaultInjector& fi;
+  const bool tracing;
+  Rng rng;
+  trace::TraceSink local;  ///< worker-local, single-threaded, lock-free
+  std::uint64_t trace_id;
+  ScopedSink sink_guard;
+  data::Batch batch;
+  Tensor golden;
+  std::vector<std::int64_t> golden_top1;
+  std::vector<std::int64_t> eligible;
+  std::uint64_t skipped = 0;  ///< batch rows whose golden run was wrong
 };
 
 }  // namespace pfi::core::detail

@@ -13,15 +13,13 @@
 #include "core/checkpoint.hpp"
 #include "core/sampling_internal.hpp"
 #include "nn/loss.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pfi::core {
 
 namespace {
 
+using detail::AttemptScope;
 using detail::has_non_finite;
-using detail::kDrawStream;
-using detail::kInjectorStream;
 using detail::kMaxStratumQuantum;
 using detail::kStratumGaveUpFlag;
 using detail::kStratumStoppedEarlyFlag;
@@ -31,9 +29,9 @@ using detail::ScopedSink;
 using detail::StratifiedFold;
 using detail::StratifiedSchedule;
 using detail::StratUnit;
-using detail::StratUnitOutcome;
+using detail::UnitOutcome;
 using detail::WaveCommitter;
-using detail::WorkerSet;
+using detail::WaveEngine;
 
 /// The post-ReLU bit pattern of an activation — EXACTLY nn::ReLU's forward
 /// expression (v > 0 ? v : 0), so bit-equality here is bit-equality of the
@@ -43,6 +41,15 @@ std::uint32_t relu_bits(float v) {
   const float r = v > 0.0f ? v : 0.0f;
   return std::bit_cast<std::uint32_t>(r);
 }
+
+/// A fixed-bit flip's analytic effect on one touched batch row of a
+/// golden activation.
+struct AnalyticFlip {
+  std::int64_t row;
+  std::int64_t flat;
+  float pre;
+  float post;
+};
 
 /// Captures one instrumented layer's golden output during a kRecordGolden
 /// pass. Registered AFTER the injector's own hook (construction order), so
@@ -205,187 +212,130 @@ StratifiedSchedule make_stratified_schedule(
   return sched;
 }
 
-StratUnitOutcome run_stratum_attempt(FaultInjector& fi,
-                                     const data::SyntheticDataset& ds,
-                                     const StratifiedCampaignConfig& config,
-                                     const Stratum& st,
-                                     std::size_t stratum_index, bool prunable,
-                                     const StratUnit& unit) {
+std::vector<bool> prunable_strata(FaultInjector& fi,
+                                  const StratifiedCampaignConfig& config,
+                                  const std::vector<Stratum>& strata) {
+  std::vector<bool> out(strata.size(), false);
+  if (!config.prune) return out;
+  const std::vector<bool> relu_adj = relu_adjacent_layers(fi);
+  for (std::size_t s = 0; s < strata.size(); ++s) {
+    out[s] = relu_adj[static_cast<std::size_t>(strata[s].layer)];
+  }
+  return out;
+}
+
+UnitOutcome run_stratum_attempt(FaultInjector& fi,
+                                const data::SyntheticDataset& ds,
+                                const StratifiedCampaignConfig& config,
+                                const Stratum& st, bool prunable,
+                                const StratUnit& unit) {
   const CampaignConfig& base = config.base;
   const std::uint64_t stratum_seed =
-      derive_seed(base.seed, static_cast<std::uint64_t>(stratum_index),
+      derive_seed(base.seed, static_cast<std::uint64_t>(unit.stratum),
                   kStratumStream);
-  Rng rng(derive_seed(stratum_seed, unit.attempt, kDrawStream));
-  fi.reseed(derive_seed(stratum_seed, unit.attempt, kInjectorStream));
-
-  const bool tracing = base.trace != nullptr;
-  trace::TraceSink local(tracing && base.trace->capture_logits());
-  ScopedSink sink_guard(fi, tracing ? &local : fi.trace_sink());
-
-  StratUnitOutcome out;
-  const auto batch = ds.sample_batch(base.batch_size, rng);
-
-  // Golden pass; the capture hook (when pruning applies) clones this
-  // stratum's layer output in the injector's emulation domain.
+  // The capture hook (when pruning applies) clones this stratum's layer
+  // output of the golden pass, in the injector's emulation domain.
   std::optional<GoldenCapture> capture;
   if (prunable) capture.emplace(fi, st.layer);
-  fi.clear();
-  const Tensor golden = fi.forward(batch.images, ForwardMode::kRecordGolden);
-  const auto golden_top1 = nn::argmax_rows(golden);
+  AttemptScope at(fi, ds, base.trace, base.batch_size, stratum_seed,
+                  unit.attempt, unit.seq);
 
-  std::vector<std::int64_t> eligible;
-  for (std::size_t i = 0; i < batch.labels.size(); ++i) {
-    if (golden_top1[i] == batch.labels[i]) {
-      eligible.push_back(static_cast<std::int64_t>(i));
-    } else {
-      ++out.skipped;
-    }
-  }
-  if (eligible.empty()) return out;
+  UnitOutcome out;
+  out.stratum = unit.stratum;
+  out.attempt = unit.attempt;
+  out.skipped = at.skipped;
+  if (at.eligible.empty()) return out;
 
-  const bool golden_nf = has_non_finite(golden);
-  const quant::QuantParams qp =
-      prunable ? fi.golden_qparams(st.layer) : quant::QuantParams{};
-  const int width = st.bit_hi - st.bit_lo + 1;
+  const bool golden_nf = has_non_finite(at.golden);
+  InjectionContext ctx;
+  ctx.layer = st.layer;
+  ctx.dtype = fi.layer_dtype(st.layer);
+  ctx.qparams = prunable ? fi.golden_qparams(st.layer) : quant::QuantParams{};
   Rng analytic_rng(0);  // never drawn from: a fixed-bit flip is deterministic
+  ctx.rng = &analytic_rng;
+  const int width = st.bit_hi - st.bit_lo + 1;
+  std::vector<AnalyticFlip> flips;
 
   out.reps.reserve(static_cast<std::size_t>(base.injections_per_image));
   for (std::int64_t rep = 0; rep < base.injections_per_image; ++rep) {
-    if (tracing) local.set_context(unit.seq, static_cast<std::int32_t>(rep));
-    NeuronLocation loc;
-    loc.batch = base.same_fault_across_batch
-                    ? kAllBatchElements
-                    : eligible[rng.next_below(eligible.size())];
-    const NeuronLocation drawn = fi.random_neuron_location(rng, st.layer);
-    loc.layer = drawn.layer;
-    loc.c = drawn.c;
-    loc.h = drawn.h;
-    loc.w = drawn.w;
+    const std::int64_t row = at.begin_rep(rep, base.same_fault_across_batch);
+    NeuronLocation loc = fi.random_neuron_location(at.rng, st.layer);
+    loc.batch = row;
     const int bit =
-        st.bit_lo + static_cast<int>(rng.next_below(
+        st.bit_lo + static_cast<int>(at.rng.next_below(
                         static_cast<std::uint64_t>(width)));
-    ErrorModel em = single_bit_flip(bit);
+    const ErrorModel em = single_bit_flip(bit);
 
     // Pruning: compute the faulty value analytically for every batch row
     // the fault would touch. The injection is provably masked only if the
     // post-ReLU bits are unchanged for ALL touched rows — scoring reads
     // per-row argmaxes but the non-finite scan covers the whole tensor, so
-    // an untouched-row change would be observable.
-    bool masked = false;
+    // an untouched-row change would be observable. The scan stops at the
+    // first unmasked row; a masked fault's `flips` covers every touched row.
+    bool masked = prunable;
+    flips.clear();
     if (prunable) {
       const Tensor& act = capture->captured();
-      const std::int64_t b0 = loc.batch == kAllBatchElements ? 0 : loc.batch;
-      const std::int64_t b1 = loc.batch == kAllBatchElements
-                                  ? base.batch_size
-                                  : loc.batch + 1;
-      masked = true;
-      InjectionContext ctx;
-      ctx.layer = st.layer;
-      ctx.dtype = fi.layer_dtype(st.layer);
-      ctx.qparams = qp;
-      ctx.rng = &analytic_rng;
-      for (std::int64_t b = b0; b < b1; ++b) {
-        const std::int64_t flat = act.offset_of(b, loc.c, loc.h, loc.w);
-        ctx.flat_index = flat;
-        const float pre = act[flat];
+      const std::int64_t b0 = row == kAllBatchElements ? 0 : row;
+      const std::int64_t b1 =
+          row == kAllBatchElements ? base.batch_size : row + 1;
+      for (std::int64_t b = b0; b < b1 && masked; ++b) {
+        ctx.flat_index = act.offset_of(b, loc.c, loc.h, loc.w);
+        const float pre = act[ctx.flat_index];
         const float post = em.apply(pre, ctx);
-        if (relu_bits(post) != relu_bits(pre)) {
-          masked = false;
-          break;
-        }
+        flips.push_back({b, ctx.flat_index, pre, post});
+        masked = relu_bits(post) == relu_bits(pre);
       }
     }
 
-    StratUnitOutcome::Rep r;
-    r.pruned = masked;
-    if (masked) {
-      if (config.prune_verify) {
-        // Soundness oracle: run the injection the pruner skipped, with the
-        // sink detached so the trace stays identical to a non-verify run,
-        // and demand the logits are bit-identical to the golden pass —
-        // the strongest form of "top-1 unchanged".
-        ScopedSink detached(fi, nullptr);
-        fi.declare_neuron_fault(loc, em);
-        const Tensor faulty =
-            fi.forward(batch.images, ForwardMode::kReusePrefix);
-        fi.clear();
-        PFI_CHECK(faulty.data().size() == golden.data().size() &&
-                  std::memcmp(faulty.data().data(), golden.data().data(),
-                              faulty.data().size() * sizeof(float)) == 0)
-            << "PRUNE VERIFY FAILED: injection at layer " << st.layer
-            << " fmap " << loc.c << " (" << loc.h << ", " << loc.w
-            << ") bit " << bit
-            << " was pruned as masked but changed the logits";
-      }
-      if (tracing) {
-        // Emit the events the real injection would have emitted — computed
-        // from the same analytic values — so the trace stream is
-        // byte-identical with pruning on or off.
-        const Tensor& act = capture->captured();
-        const std::int64_t b0 =
-            loc.batch == kAllBatchElements ? 0 : loc.batch;
-        const std::int64_t b1 = loc.batch == kAllBatchElements
-                                    ? base.batch_size
-                                    : loc.batch + 1;
-        InjectionContext ctx;
-        ctx.layer = st.layer;
-        ctx.dtype = fi.layer_dtype(st.layer);
-        ctx.qparams = qp;
-        ctx.rng = &analytic_rng;
-        for (std::int64_t b = b0; b < b1; ++b) {
-          const std::int64_t flat = act.offset_of(b, loc.c, loc.h, loc.w);
-          ctx.flat_index = flat;
-          const float pre = act[flat];
-          const float post = em.apply(pre, ctx);
-          trace::InjectionEvent ev;
-          ev.kind = trace::FaultKind::kNeuron;
-          ev.layer = st.layer;
-          ev.layer_name = fi.layer_path(st.layer);
-          ev.layer_kind = fi.layer(st.layer).kind();
-          ev.dtype = fi.layer_dtype(st.layer);
-          ev.coords[0] = b;
-          ev.coords[1] = loc.c;
-          ev.coords[2] = loc.h;
-          ev.coords[3] = loc.w;
-          ev.flat = flat;
-          ev.pre = pre;
-          ev.post = post;
-          ev.bit = trace::diff_bit(pre, post, fi.layer_dtype(st.layer), qp);
-          ev.model = em.name;
-          local.record(std::move(ev));
-        }
-      }
-      r.non_finite = golden_nf;
-      if (tracing) {
-        r.seq = unit.seq;
-        r.rep_index = static_cast<std::int32_t>(rep);
-        r.events = local.take_events();
-        // The pruned injection's faulty logits ARE the golden logits.
-        if (local.capture_logits()) r.logits = golden.clone();
-      }
-      for (const std::int64_t row : eligible) {
-        if (loc.batch != kAllBatchElements && loc.batch != row) continue;
-        r.corrupted.push_back(0);
-      }
-    } else {
+    if (!masked) {
+      fi.declare_neuron_fault(loc, em);
+      out.reps.push_back(at.run_faulty(row, base.criterion));
+      continue;
+    }
+    if (config.prune_verify) {
+      // Soundness oracle: run the injection the pruner skipped, with the
+      // sink detached so the trace stays identical to a non-verify run,
+      // and demand the logits are bit-identical to the golden pass — the
+      // strongest form of "top-1 unchanged".
+      ScopedSink detached(fi, nullptr);
       fi.declare_neuron_fault(loc, em);
       const Tensor faulty =
-          fi.forward(batch.images, ForwardMode::kReusePrefix);
+          fi.forward(at.batch.images, ForwardMode::kReusePrefix);
       fi.clear();
-
-      const RepScorer scorer(golden_top1, faulty, base.criterion);
-      r.non_finite = scorer.faulty_non_finite;
-      if (tracing) {
-        r.seq = unit.seq;
-        r.rep_index = static_cast<std::int32_t>(rep);
-        r.events = local.take_events();
-        if (local.capture_logits()) r.logits = faulty.clone();
-      }
-      for (const std::int64_t row : eligible) {
-        if (loc.batch != kAllBatchElements && loc.batch != row) continue;
-        r.corrupted.push_back(scorer.is_corrupted(row) ? 1 : 0);
+      PFI_CHECK(faulty.data().size() == at.golden.data().size() &&
+                std::memcmp(faulty.data().data(), at.golden.data().data(),
+                            faulty.data().size() * sizeof(float)) == 0)
+          << "PRUNE VERIFY FAILED: injection at layer " << st.layer
+          << " fmap " << loc.c << " (" << loc.h << ", " << loc.w << ") bit "
+          << bit << " was pruned as masked but changed the logits";
+    }
+    if (at.tracing) {
+      // Emit the events the real injection would have emitted — the same
+      // analytic values — so the trace stream is byte-identical with
+      // pruning on or off.
+      for (const AnalyticFlip& f : flips) {
+        trace::InjectionEvent ev;
+        ev.kind = trace::FaultKind::kNeuron;
+        ev.layer = st.layer;
+        ev.layer_name = fi.layer_path(st.layer);
+        ev.layer_kind = fi.layer(st.layer).kind();
+        ev.dtype = ctx.dtype;
+        ev.coords[0] = f.row;
+        ev.coords[1] = loc.c;
+        ev.coords[2] = loc.h;
+        ev.coords[3] = loc.w;
+        ev.flat = f.flat;
+        ev.pre = f.pre;
+        ev.post = f.post;
+        ev.bit = trace::diff_bit(f.pre, f.post, ctx.dtype, ctx.qparams);
+        ev.model = em.name;
+        at.local.record(std::move(ev));
       }
     }
+    // The pruned injection's faulty logits ARE the golden logits.
+    UnitOutcome::Rep r = at.finish_rep(at.golden, row, golden_nf, nullptr);
+    r.pruned = true;
     out.reps.push_back(std::move(r));
   }
   return out;
@@ -503,12 +453,13 @@ bool StratifiedFold::any_open(const std::vector<std::uint8_t>* owned) const {
   return false;
 }
 
-void StratifiedFold::merge_unit(const StratUnit& unit, StratUnitOutcome& out) {
+void StratifiedFold::merge_unit(const StratUnit& unit, UnitOutcome& out) {
   StratumCheckpoint& st = ck_[unit.stratum];
   st.skipped += out.skipped;
   ++st.attempts;
-  for (auto& rep : out.reps) {
+  for (std::size_t r = 0; r < out.reps.size(); ++r) {
     if (st.trials >= sched_.caps[unit.stratum]) break;
+    UnitOutcome::Rep& rep = out.reps[r];
     if (rep.non_finite) ++st.non_finite;
     if (sink_ != nullptr) {
       // Trial index stamped at merge; the `attempt` restamp is a no-op for
@@ -521,8 +472,8 @@ void StratifiedFold::merge_unit(const StratUnit& unit, StratUnitOutcome& out) {
       }
       sink_->append(std::move(rep.events));
       if (sink_->capture_logits() && rep.logits.defined()) {
-        sink_->append_logits(
-            {rep.seq, rep.rep_index, std::move(rep.logits)});
+        sink_->append_logits({unit.seq, static_cast<std::int32_t>(r),
+                              std::move(rep.logits)});
       }
     }
     for (const std::uint8_t corrupted : rep.corrupted) {
@@ -721,14 +672,8 @@ StratifiedResult run_stratified_campaign(FaultInjector& fi,
   StratifiedFold fold(detail::make_stratified_schedule(fi, config),
                       base.trace);
   const StratifiedSchedule& sched = fold.schedule();
-  const std::size_t S = sched.strata.size();
-
-  const std::vector<bool> relu_adj = relu_adjacent_layers(fi);
-  std::vector<bool> prunable(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    prunable[s] = config.prune &&
-                  relu_adj[static_cast<std::size_t>(sched.strata[s].layer)];
-  }
+  const std::vector<bool> prunable =
+      detail::prunable_strata(fi, config, sched.strata);
 
   std::uint64_t wave_index = 0;
   if (base.checkpoint != nullptr) {
@@ -748,42 +693,24 @@ StratifiedResult run_stratified_campaign(FaultInjector& fi,
   WaveCommitter committer(base.checkpoint, base.trace);
   fold.refresh_flags();
 
-  const std::int64_t threads = detail::resolve_threads(
-      base.threads, std::max<std::int64_t>(1, base.trials / 4));
-  WorkerSet set(fi, threads);
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1) pool.emplace(static_cast<std::size_t>(threads));
-
+  WaveEngine engine(fi, detail::resolve_threads(
+                            base.threads,
+                            std::max<std::int64_t>(1, base.trials / 4)));
   while (true) {
     const std::vector<StratUnit> units = fold.compose_wave();
     if (units.empty()) break;
-
-    std::vector<StratUnitOutcome> outcomes(units.size());
-    if (threads == 1) {
-      for (std::size_t i = 0; i < units.size(); ++i) {
-        const StratUnit& u = units[i];
-        outcomes[i] =
-            detail::run_stratum_attempt(fi, ds, config,
-                                        sched.strata[u.stratum], u.stratum,
-                                        prunable[u.stratum], u);
-      }
-    } else {
-      pool->run(static_cast<std::size_t>(threads), [&](std::size_t g) {
-        // Worker g owns replica g and the wave's units congruent to g, so
-        // no injector is touched by two tasks.
-        for (std::size_t i = g; i < units.size();
-             i += static_cast<std::size_t>(threads)) {
-          const StratUnit& u = units[i];
-          outcomes[i] =
-              detail::run_stratum_attempt(*set.workers[g], ds, config,
-                                          sched.strata[u.stratum], u.stratum,
-                                          prunable[u.stratum], u);
-        }
-      });
-    }
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      fold.merge_unit(units[i], outcomes[i]);
-    }
+    engine.run(
+        static_cast<std::int64_t>(units.size()),
+        [&](std::size_t g, std::int64_t i) {
+          const StratUnit& u = units[static_cast<std::size_t>(i)];
+          return detail::run_stratum_attempt(engine.worker(g), ds, config,
+                                             sched.strata[u.stratum],
+                                             prunable[u.stratum], u);
+        },
+        [&](std::int64_t i, UnitOutcome& out) {
+          fold.merge_unit(units[static_cast<std::size_t>(i)], out);
+          return false;
+        });
     fold.refresh_flags();
     ++wave_index;
 

@@ -4,13 +4,21 @@
 // thread count (ISSUE: threads=1 vs threads=4, and run-to-run at threads=4).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/engine.hpp"
 #include "core/fault_injector.hpp"
+#include "core/shard.hpp"
 #include "models/zoo.hpp"
 #include "util/thread_pool.hpp"
 
@@ -242,6 +250,235 @@ TEST(CampaignParallel, ZeroTrialsYieldsVacuousProportion) {
   EXPECT_EQ(p.value, 0.0);
   EXPECT_EQ(p.lo, 0.0);
   EXPECT_EQ(p.hi, 1.0);
+}
+
+// ------------------------------------------------------- attempt cap ----
+
+CampaignConfig capped_config(std::int64_t threads) {
+  CampaignConfig cfg;
+  cfg.trials = 1'000'000;  // unreachable: the cap binds first
+  cfg.attempt_cap = 6;
+  cfg.error_model = single_bit_flip();
+  cfg.seed = 91;
+  cfg.batch_size = 4;
+  cfg.injections_per_image = 2;
+  cfg.threads = threads;
+  return cfg;
+}
+
+bool same_capped(const CampaignResult& a, const CampaignResult& b) {
+  return same_result(a, b) && a.gave_up == b.gave_up;
+}
+
+TEST(CampaignParallel, BindingAttemptCapIdenticalAtAnyThreadCountAndSharded) {
+  const auto run = [](std::int64_t threads) {
+    Rng rng(90);
+    data::SyntheticDataset ds(campaign_spec());
+    auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+    FaultInjector fi(model, parallel_config());
+    return run_classification_campaign(fi, ds, capped_config(threads));
+  };
+  // Exactly attempts 0..5 fold, whatever the wave size.
+  const CampaignResult one = run(1);
+  EXPECT_EQ(one.gave_up, 1u);
+  EXPECT_EQ(one.trials, 4u);
+  EXPECT_EQ(one.skipped, 21u);
+  for (const std::int64_t threads : {2, 4}) {
+    EXPECT_TRUE(same_capped(run(threads), one)) << "threads=" << threads;
+  }
+
+  const std::string dir = "/tmp/pfi_parallel_cap_shards";
+  const auto wipe = [&] {
+    for (std::int64_t k = 0; k < 2; ++k) {
+      const ShardPaths p = shard_paths(dir, k, 2);
+      for (const std::string& f : {p.checkpoint, p.log, p.manifest}) {
+        std::remove(f.c_str());
+        std::remove((f + ".tmp").c_str());
+      }
+    }
+  };
+  wipe();
+  Rng rng(90);
+  data::SyntheticDataset ds(campaign_spec());
+  auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+  FaultInjector fi(model, parallel_config());
+  const CampaignResult sharded =
+      run_sharded_classification(fi, ds, capped_config(4), 2, dir);
+  EXPECT_TRUE(same_capped(sharded, one));
+  wipe();
+  ::rmdir(dir.c_str());
+}
+
+// ----------------------------------------------------------- wave engine ----
+
+TEST(WaveEngine, EveryUnitRunsOnceOnWorkerIModTAndFoldsInOrder) {
+  Rng rng(96);
+  auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+  FaultInjector fi(model, parallel_config());
+  for (const std::int64_t T : {1, 2, 3, 4}) {
+    detail::WaveEngine engine(fi, T);
+    ASSERT_EQ(engine.threads(), T);
+    EXPECT_EQ(&engine.worker(0), &fi);
+    constexpr std::int64_t kUnits = 23;
+    std::vector<std::atomic<int>> runs(kUnits);
+    std::vector<const FaultInjector*> ran_on(kUnits, nullptr);
+    // Each worker appends to its own list only, so no synchronization.
+    std::vector<std::vector<std::int64_t>> order(static_cast<std::size_t>(T));
+    std::vector<std::int64_t> folded;
+    const std::int64_t ran = engine.run(
+        kUnits,
+        [&](std::size_t g, std::int64_t i) {
+          ++runs[static_cast<std::size_t>(i)];
+          ran_on[static_cast<std::size_t>(i)] = &engine.worker(g);
+          order[g].push_back(i);
+          return i * i;
+        },
+        [&](std::int64_t i, std::int64_t& square) {
+          EXPECT_EQ(square, i * i);
+          folded.push_back(i);
+          return false;
+        });
+    EXPECT_EQ(ran, kUnits);
+    for (std::int64_t i = 0; i < kUnits; ++i) {
+      EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+          << "T=" << T << " unit " << i;
+      EXPECT_EQ(ran_on[static_cast<std::size_t>(i)],
+                &engine.worker(static_cast<std::size_t>(i % T)))
+          << "T=" << T << " unit " << i;
+    }
+    for (std::size_t g = 0; g < order.size(); ++g) {
+      EXPECT_TRUE(std::is_sorted(order[g].begin(), order[g].end()))
+          << "T=" << T << " worker " << g;
+    }
+    std::vector<std::int64_t> all(kUnits);
+    std::iota(all.begin(), all.end(), std::int64_t{0});
+    EXPECT_EQ(folded, all) << "T=" << T;
+    // Every worker is its own injector.
+    for (std::int64_t a = 0; a < T; ++a) {
+      for (std::int64_t b = a + 1; b < T; ++b) {
+        EXPECT_NE(&engine.worker(static_cast<std::size_t>(a)),
+                  &engine.worker(static_cast<std::size_t>(b)));
+      }
+    }
+  }
+}
+
+TEST(WaveEngine, FoldEndsTheWave) {
+  Rng rng(95);
+  auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+  FaultInjector fi(model, parallel_config());
+  for (const std::int64_t T : {1, 3}) {
+    detail::WaveEngine engine(fi, T);
+    std::atomic<std::int64_t> runs{0};
+    std::vector<std::int64_t> folded;
+    const std::int64_t ran = engine.run(
+        10,
+        [&](std::size_t, std::int64_t i) {
+          ++runs;
+          return i;
+        },
+        [&](std::int64_t i, std::int64_t&) {
+          folded.push_back(i);
+          return i == 4;
+        });
+    EXPECT_EQ(folded, (std::vector<std::int64_t>{0, 1, 2, 3, 4})) << "T=" << T;
+    // Inline units stop with the fold; pooled units all ran first.
+    EXPECT_EQ(ran, T == 1 ? 5 : 10) << "T=" << T;
+    EXPECT_EQ(runs.load(), ran) << "T=" << T;
+  }
+}
+
+TEST(WaveEngine, OneThreadRunsInlineOnTheCallersInjector) {
+  Rng rng(97);
+  auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+  FaultInjector fi(model, parallel_config());
+  detail::WaveEngine engine(fi, 1);
+  EXPECT_EQ(engine.threads(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::int64_t> seen;
+  engine.run(
+      5,
+      [&](std::size_t g, std::int64_t i) {
+        EXPECT_EQ(g, 0u);
+        EXPECT_EQ(&engine.worker(g), &fi);
+        EXPECT_EQ(std::this_thread::get_id(), caller) << "unit " << i;
+        seen.push_back(i);
+        return 0;
+      },
+      [](std::int64_t, int&) { return false; });
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(WaveEngine, UnitExceptionReachesCallerAndInjectorStaysUsable) {
+  Rng rng(98);
+  auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+  FaultInjector fi(model, parallel_config());
+  data::SyntheticDataset ds(campaign_spec());
+  Rng draw(99);
+  const auto batch = ds.sample_batch(4, draw);
+  const Tensor golden = fi.forward(batch.images).clone();
+  for (const std::int64_t T : {1, 2}) {
+    {
+      detail::WaveEngine engine(fi, T);
+      // Units arm a weight fault and never clear it; unit 2 (worker 0, the
+      // caller's injector, at both T) throws on top of its armed fault.
+      const auto arm_and_maybe_throw = [&](std::size_t g, std::int64_t i) {
+        FaultInjector& w = engine.worker(g);
+        Rng pick(static_cast<std::uint64_t>(100 + i));
+        w.declare_weight_fault(w.random_weight_location(pick),
+                               constant_value(1e6f));
+        if (i == 2) throw std::runtime_error("unit 2 died");
+        return 0;
+      };
+      EXPECT_THROW(engine.run(4, arm_and_maybe_throw,
+                              [](std::int64_t, int&) { return false; }),
+                   std::runtime_error);
+    }
+    // The caller's injector is clean: golden output, and replicable (a
+    // replica requires no armed weight fault).
+    EXPECT_TRUE(allclose(fi.forward(batch.images), golden, 0.0f))
+        << "T=" << T;
+    EXPECT_NE(fi.replicate(), nullptr) << "T=" << T;
+  }
+}
+
+TEST(WaveEngine, ReplicaPrefixStatsAreAbsorbedIntoTheCaller) {
+  data::SyntheticDataset ds(campaign_spec());
+  Rng draw(101);
+  const auto batch = ds.sample_batch(4, draw);
+  const auto stats_after = [&](std::int64_t T) {
+    Rng rng(102);
+    auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+    FaultInjector fi(model, parallel_config());
+    fi.model().eval();  // the prefix cache records in eval mode only
+    {
+      detail::WaveEngine engine(fi, T);
+      engine.run(
+          6,
+          [&](std::size_t g, std::int64_t i) {
+            FaultInjector& w = engine.worker(g);
+            w.forward(batch.images, ForwardMode::kRecordGolden);
+            Rng pick(static_cast<std::uint64_t>(200 + i));
+            w.declare_neuron_fault(w.random_neuron_location(pick),
+                                   constant_value(3.0f));
+            w.forward(batch.images, ForwardMode::kReusePrefix);
+            w.clear();
+            return 0;
+          },
+          [](std::int64_t, int&) { return false; });
+    }
+    return fi.prefix_cache()->stats();
+  };
+  const PrefixCacheStats one = stats_after(1);
+  const PrefixCacheStats three = stats_after(3);
+  EXPECT_EQ(one.golden_records, 6u);
+  EXPECT_GT(one.layers_reused, 0u);
+  EXPECT_EQ(three.golden_records, one.golden_records);
+  EXPECT_EQ(three.reuse_passes, one.reuse_passes);
+  EXPECT_EQ(three.fallback_passes, one.fallback_passes);
+  EXPECT_EQ(three.layers_reused, one.layers_reused);
+  EXPECT_EQ(three.layers_recomputed, one.layers_recomputed);
+  EXPECT_EQ(three.injection_site_serves, one.injection_site_serves);
 }
 
 }  // namespace

@@ -476,6 +476,85 @@ TEST(CheckpointResume, WeightCampaignKillAndResume) {
   }
 }
 
+// Thread counts that do not divide the wave: each worker takes a different
+// number of units per wave, and the folded counts and streamed trace must
+// still match one thread byte for byte.
+TEST(CheckpointResume, StreamedTraceIdenticalAtTwoAndThreeThreads) {
+  const std::uint64_t fp =
+      campaign_fingerprint(neuron_config(1), "uneven-waves");
+  CampaignResult ref{};
+  std::string ref_bytes;
+  for (const std::int64_t threads : {1, 2, 3}) {
+    const std::string tag = std::to_string(threads);
+    TempFile ck("/tmp/pfi_ckpt_uneven_" + tag + ".json");
+    TempFile tr("/tmp/pfi_trace_uneven_" + tag + ".jsonl");
+    CampaignCheckpointer c(ck.path, tr.path);
+    c.begin(fp);
+    trace::TraceSink sink;
+    const CampaignResult r = run_checkpointed(threads, &c, &sink);
+    const std::string bytes = util::read_file(tr.path);
+    EXPECT_EQ(bytes, trace::trace_to_jsonl(sink.events())) << "threads=" << tag;
+    if (threads == 1) {
+      ref = r;
+      ref_bytes = bytes;
+      EXPECT_EQ(ref.trials, 24u);
+      EXPECT_FALSE(ref_bytes.empty());
+      continue;
+    }
+    EXPECT_TRUE(same_bits(r, ref)) << "threads=" << tag;
+    EXPECT_EQ(bytes, ref_bytes) << "threads=" << tag;
+  }
+}
+
+CampaignResult run_weight_traced(std::int64_t threads,
+                                 CampaignCheckpointer* ckpt,
+                                 trace::TraceSink* sink) {
+  Rng rng(92);
+  data::SyntheticDataset ds(data::cifar10_like());
+  auto model = make_model("squeezenet", {.num_classes = 10}, rng);
+  FaultInjector fi(model, {.input_shape = {3, 32, 32}, .batch_size = 4});
+  WeightCampaignConfig cfg;
+  cfg.faults = kWeightFaults;
+  cfg.images_per_fault = 4;
+  cfg.error_model = single_bit_flip();
+  cfg.seed = 93;
+  cfg.threads = threads;
+  cfg.checkpoint = ckpt;
+  cfg.trace = sink;
+  return run_weight_campaign(fi, ds, cfg);
+}
+
+TEST(CheckpointResume, WeightCampaignIdenticalAtTwoAndThreeThreads) {
+  WeightCampaignConfig fp_cfg;
+  fp_cfg.faults = kWeightFaults;
+  fp_cfg.images_per_fault = 4;
+  fp_cfg.error_model = single_bit_flip();
+  fp_cfg.seed = 93;
+  const std::uint64_t fp = weight_campaign_fingerprint(fp_cfg, "w-uneven");
+  CampaignResult ref{};
+  std::string ref_bytes;
+  for (const std::int64_t threads : {1, 2, 3}) {
+    const std::string tag = std::to_string(threads);
+    TempFile ck("/tmp/pfi_wckpt_uneven_" + tag + ".json");
+    TempFile tr("/tmp/pfi_wtrace_uneven_" + tag + ".jsonl");
+    CampaignCheckpointer c(ck.path, tr.path);
+    c.begin(fp);
+    trace::TraceSink sink;
+    const CampaignResult r = run_weight_traced(threads, &c, &sink);
+    const std::string bytes = util::read_file(tr.path);
+    EXPECT_EQ(bytes, trace::trace_to_jsonl(sink.events())) << "threads=" << tag;
+    if (threads == 1) {
+      ref = r;
+      ref_bytes = bytes;
+      EXPECT_EQ(ref.trials + ref.skipped, 4u * kWeightFaults);
+      EXPECT_FALSE(ref_bytes.empty());
+      continue;
+    }
+    EXPECT_TRUE(same_bits(r, ref)) << "threads=" << tag;
+    EXPECT_EQ(bytes, ref_bytes) << "threads=" << tag;
+  }
+}
+
 TEST(CheckpointResume, PerLayerCampaignRefusesSharedCheckpoint) {
   Rng rng(90);
   data::SyntheticDataset ds(data::cifar10_like());

@@ -411,6 +411,43 @@ TEST(PersistFleet, KillAndResumeReproducesByteIdenticalTrace) {
   }
 }
 
+TEST(PersistFleet, CheckpointedTraceIdenticalAtTwoAndThreeThreads) {
+  if constexpr (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
+  FleetCampaignConfig fp_cfg;
+  fp_cfg.horizon = 20;
+  fp_cfg.scenario.ber = 2e-5;
+  fp_cfg.scenario.stuck_bits = 2;
+  fp_cfg.batch_size = 4;
+  fp_cfg.seed = 91;
+  const std::uint64_t fp = fleet_campaign_fingerprint(fp_cfg, "uneven");
+  FleetRun ref;
+  std::string ref_bytes;
+  for (const std::int64_t threads : {1, 2, 3}) {
+    const std::string stem =
+        "/tmp/pfi_test_fleet_uneven_" + std::to_string(threads);
+    const std::string ckpt = stem + ".ckpt";
+    const std::string trace_path = stem + ".jsonl";
+    std::remove(ckpt.c_str());
+    std::remove(trace_path.c_str());
+    CampaignCheckpointer c(ckpt, trace_path);
+    c.begin(fp);
+    trace::TraceSink sink;
+    const FleetRun run = fleet_run(threads, true, &c, &sink);
+    const std::string bytes = util::read_file(trace_path);
+    std::remove(ckpt.c_str());
+    std::remove(trace_path.c_str());
+    EXPECT_EQ(bytes, run.jsonl) << "threads=" << threads;
+    if (threads == 1) {
+      ref = run;
+      ref_bytes = bytes;
+      EXPECT_FALSE(ref_bytes.empty());
+      continue;
+    }
+    EXPECT_EQ(bytes, ref_bytes) << "threads=" << threads;
+    expect_same_fleet_result(run.result, ref.result);
+  }
+}
+
 // ------------------------------------------------------- native deployment ----
 
 // Persistent faults must land in the DEPLOYED weight codes: under native

@@ -534,6 +534,48 @@ void kill_and_resume_case(std::int64_t threads,
 TEST(Sampling, KillAndResumeByteIdenticalSerial) { kill_and_resume_case(1); }
 TEST(Sampling, KillAndResumeByteIdenticalParallel) { kill_and_resume_case(4); }
 
+TEST(Sampling, CheckpointedTraceIdenticalAtTwoAndThreeThreads) {
+  const auto& fx = tiny();
+  StratifiedCampaignConfig fp_cfg = tiny_campaign(31);
+  fp_cfg.base.injections_per_image = 2;
+  const std::uint64_t fp = stratified_fingerprint(fp_cfg, "uneven");
+  StratifiedResult ref;
+  std::string ref_bytes;
+  for (const std::int64_t threads : {1, 2, 3}) {
+    const std::string tag = "uneven_t" + std::to_string(threads);
+    TempFile ck("/tmp/pfi_sampling_ck_" + tag + ".json");
+    TempFile tr("/tmp/pfi_sampling_tr_" + tag + ".jsonl");
+    CampaignCheckpointer c(ck.path, tr.path);
+    c.begin(fp);
+    trace::TraceSink sink;
+    FaultInjector fi(fx.model, tiny_fi_config());
+    const StratifiedResult r = run_tiny(fi, 31, threads, &sink, &c);
+    const std::string bytes = util::read_file(tr.path);
+    EXPECT_EQ(bytes, trace::trace_to_jsonl(sink.events())) << tag;
+    if (threads == 1) {
+      ref = r;
+      ref_bytes = bytes;
+      if constexpr (trace::kEnabled) {
+        EXPECT_FALSE(ref_bytes.empty());
+      }
+      continue;
+    }
+    EXPECT_TRUE(same_bits(r.totals, ref.totals)) << tag;
+    EXPECT_EQ(r.pruned, ref.pruned) << tag;
+    EXPECT_EQ(r.golden_passes, ref.golden_passes) << tag;
+    EXPECT_EQ(r.faulty_passes, ref.faulty_passes) << tag;
+    ASSERT_EQ(r.strata.size(), ref.strata.size()) << tag;
+    for (std::size_t s = 0; s < r.strata.size(); ++s) {
+      EXPECT_TRUE(same_bits(r.strata[s].counts, ref.strata[s].counts))
+          << tag << " stratum " << s;
+      EXPECT_EQ(r.strata[s].attempts, ref.strata[s].attempts)
+          << tag << " stratum " << s;
+    }
+    EXPECT_EQ(csv_bytes(r, tag), csv_bytes(ref, "uneven_ref"));
+    EXPECT_EQ(bytes, ref_bytes) << tag;
+  }
+}
+
 // ------------------------------------- native-dtype campaign equivalence ----
 
 // The same determinism matrix with the convs EXECUTING in native INT8

@@ -305,6 +305,161 @@ TEST(ShardManifestTest, RejectsMalformedJson) {
   EXPECT_THROW(shard_manifest_from_json("not json at all"), Error);
 }
 
+/// A valid uniform manifest's JSON with `from` replaced by `to`.
+std::string mutated_manifest(const std::string& from, const std::string& to) {
+  ShardManifest m;
+  m.kind = "classification";
+  m.shards = 2;
+  m.records = 7;
+  m.log = "x.log";
+  std::string text = shard_manifest_to_json(m);
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// A stratified manifest's JSON (two strata) with `from` replaced by `to`.
+std::string mutated_strata(const std::string& from, const std::string& to) {
+  ShardManifest m;
+  m.kind = "stratified";
+  m.log = "s.log";
+  m.strata = {{.layer = 0, .bit_class = 0, .bit_lo = 31, .bit_hi = 31,
+               .weight = 0.5},
+              {.layer = 1, .bit_class = 0, .bit_lo = 31, .bit_hi = 31,
+               .weight = 0.5}};
+  m.stratum_caps.assign(2, 5);
+  m.stratum_attempt_caps.assign(2, 5'100);
+  std::string text = shard_manifest_to_json(m);
+  EXPECT_NO_THROW(shard_manifest_from_json(text));
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(ShardManifestTest, RefusesUnsignedOverflowByFieldName) {
+  // 2^64 + 2 is refused, not wrapped to 2.
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(mutated_manifest(
+            "\"shards\":2,", "\"shards\":18446744073709551618,"));
+      },
+      "'shards'");
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(mutated_manifest(
+            "\"records\":7,", "\"records\":18446744073709551616,"));
+      },
+      "'records'");
+  // The largest value still parses.
+  const ShardManifest m = shard_manifest_from_json(mutated_manifest(
+      "\"records\":7,", "\"records\":18446744073709551615,"));
+  EXPECT_EQ(m.records, 18446744073709551615ull);
+}
+
+TEST(ShardManifestTest, RefusesSignedOverflowByFieldName) {
+  // -2^63 - 1 is refused, not wrapped to INT64_MAX.
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(mutated_manifest(
+            "\"shards\":2,", "\"shards\":-9223372036854775809,"));
+      },
+      "'shards'");
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(mutated_manifest(
+            "\"horizon\":0,", "\"horizon\":9223372036854775808,"));
+      },
+      "'horizon'");
+  // A stratum's bit fields are ints: a value past INT_MAX is refused too.
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(
+            mutated_strata("[1,0,31,31,", "[1,0,31,4294967327,"));
+      },
+      "'strata.bit_hi'");
+}
+
+TEST(ShardManifestTest, StrataListRequiresOneCommaBetweenElements) {
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(
+            mutated_strata("\"strata\":[[", "\"strata\":[,["));
+      },
+      "malformed shard manifest");
+  expect_refusal(
+      [] { shard_manifest_from_json(mutated_strata("],[1,", "][1,")); },
+      "malformed shard manifest");
+  expect_refusal(
+      [] { shard_manifest_from_json(mutated_strata("],[1,", "],,[1,")); },
+      "malformed shard manifest");
+  expect_refusal(
+      [] { shard_manifest_from_json(mutated_strata("]]}", "],]}")); },
+      "malformed shard manifest");
+}
+
+/// Merge a one-shard uniform set whose log is exactly `log_text`, with a
+/// manifest that commits every byte of it (so only the record grammar can
+/// refuse it).
+CampaignResult merge_single_record_log(const std::string& dir,
+                                       const std::string& log_text) {
+  ShardDir d(dir);
+  const ShardPaths paths = shard_paths(d.path, 0, 1);
+  util::ensure_dir(d.path);
+  util::atomic_write_file(paths.log, log_text);
+  ShardManifest m;
+  m.kind = "classification";
+  m.shards = 1;
+  m.shard_index = 0;
+  m.records = 1;
+  m.horizon = 1;
+  m.log_bytes = log_text.size();
+  m.log_digest = util::fnv1a(log_text);
+  m.done = 1;
+  m.log = "shard-0-of-1.log.jsonl";
+  m.trials_target = 1;
+  m.attempt_cap = 10;
+  m.max_yield = 4;
+  util::atomic_write_file(paths.manifest, shard_manifest_to_json(m));
+  return merge_shards({paths.manifest}).classification;
+}
+
+TEST(ShardManifestTest, LogRepsListRequiresOneCommaBetweenElements) {
+  const CampaignResult ok = merge_single_record_log(
+      "/tmp/pfi_shard_reps_ok",
+      "{\"rec\":1,\"attempt\":0,\"skipped\":0,\"reps\":[[0,\"1\",0]]}\n");
+  EXPECT_EQ(ok.trials, 1u);
+  EXPECT_EQ(ok.corruptions, 1u);
+  expect_refusal(
+      [] {
+        merge_single_record_log(
+            "/tmp/pfi_shard_reps_lead",
+            "{\"rec\":1,\"attempt\":0,\"skipped\":0,\"reps\":[,[0,\"1\",0]]}"
+            "\n");
+      },
+      "malformed shard 0 log");
+  expect_refusal(
+      [] {
+        merge_single_record_log(
+            "/tmp/pfi_shard_reps_gap",
+            "{\"rec\":1,\"attempt\":0,\"skipped\":0,\"reps\":[[0,\"1\",0]"
+            "[0,\"0\",0]]}\n");
+      },
+      "malformed shard 0 log");
+}
+
+TEST(ShardManifestTest, LogRefusesOverflowingCountersByFieldName) {
+  expect_refusal(
+      [] {
+        merge_single_record_log(
+            "/tmp/pfi_shard_log_overflow",
+            "{\"rec\":1,\"attempt\":0,\"skipped\":18446744073709551617,"
+            "\"reps\":[[0,\"1\",0]]}\n");
+      },
+      "'skipped'");
+}
+
 // ------------------------------------------------ uniform equivalence ----
 
 TEST(ShardEquivalence, UniformMergedMatchesSingleProcessAtAnyShardCount) {
