@@ -1,6 +1,6 @@
 // GEMM microbenchmark for pfi::kernels: naive reference vs the blocked
-// (packed, register-tiled, AVX2-dispatched) kernel on the im2col GEMM
-// shapes that AlexNet and ResNet18 actually run during a CIFAR campaign.
+// (packed, register-tiled, AVX-512/AVX2-dispatched) kernel on the im2col
+// GEMM shapes that AlexNet and ResNet18 actually run during a CIFAR campaign.
 //
 // Shapes are derived at runtime from the zoo models themselves: for every
 // Conv2d, the forward GEMM per group is
@@ -119,6 +119,14 @@ std::vector<GemmShape> dedup(std::vector<GemmShape> in) {
   return out;
 }
 
+const char* f32_isa_name(kernels::F32Isa isa) {
+  switch (isa) {
+    case kernels::F32Isa::kAvx512: return "avx512f";
+    case kernels::F32Isa::kAvx2: return "avx2+fma";
+    default: return "scalar";
+  }
+}
+
 /// Seconds per call of `fn`, repeated until ~target_ms of wall time.
 template <typename Fn>
 double time_per_call(Fn&& fn, double target_ms) {
@@ -137,8 +145,8 @@ double time_per_call(Fn&& fn, double target_ms) {
 
 int main() {
   const double target_ms = util::env_double("PFI_BENCH_REPS_MS", 300.0);
-  std::printf("pfi::kernels GEMM microbenchmark (simd %s, %d thread%s)\n",
-              kernels::simd_available() ? "avx2+fma" : "scalar",
+  std::printf("pfi::kernels GEMM microbenchmark (fp32 isa %s, %d thread%s)\n",
+              f32_isa_name(kernels::active_f32_isa()),
               kernels::threads(), kernels::threads() == 1 ? "" : "s");
   std::printf("shapes: im2col GEMMs of every conv in alexnet + resnet18 "
               "(CIFAR geometry, batch 1)\n\n");

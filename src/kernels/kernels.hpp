@@ -4,7 +4,7 @@
 // im2col + GEMM per (sample, group), Linear is a GEMM against W^T, and the
 // tensor-level matmul backs everything else. This layer replaces the scalar
 // ikj loops with a cache-blocked, register-tiled kernel (packed A/B panels,
-// MRx16 microkernel, optional AVX2+FMA path behind runtime dispatch) without
+// MRx16 microkernels, AVX-512 or AVX2+FMA behind runtime dispatch) without
 // giving up the library's core guarantee: results are a pure function of the
 // operands, NOT of how the work was tiled or scheduled.
 //
@@ -19,9 +19,9 @@
 // executes a tile only change WHEN a partial chain is flushed to memory —
 // fp32 stores are exact, so the value is bit-identical for every block
 // configuration and every thread count. The scalar microkernel uses
-// std::fma and the AVX2 path uses vfmadd, which implement the same
-// correctly-rounded fused operation, so runtime dispatch does not change
-// bits either. This is the same guarantee the campaign engine makes at
+// std::fma and the AVX2 and AVX-512 paths use vfmadd, which implement the
+// same correctly-rounded fused operation, so runtime dispatch does not
+// change bits either. This is the same guarantee the campaign engine makes at
 // trial granularity (PR 1), pushed down into the kernels.
 //
 // IEEE faithfulness
@@ -47,8 +47,8 @@
 
 namespace pfi::kernels {
 
-/// Microkernel width: every packed B panel is kNR columns wide (two AVX2
-/// vectors per row, the register-pressure sweet spot for the 6x16 kernel).
+/// Microkernel width: every packed B panel is kNR columns wide — one
+/// AVX-512 vector or two AVX2 vectors per tile row.
 inline constexpr int kNR = 16;
 
 /// Kernel implementation selector (PFI_KERNEL=naive|blocked).
@@ -62,13 +62,22 @@ void set_impl(Impl impl);
 /// True when the CPU supports the AVX2+FMA microkernel (runtime dispatch).
 bool simd_available();
 
+/// fp32 microkernel ISA. kAuto resolves to the widest one the CPU supports
+/// (AVX-512, then AVX2+FMA, then scalar); set_f32_isa() forces one and
+/// throws when the CPU lacks it (tests pin cross-ISA bit identity with it).
+/// Every ISA runs the same per-element fma chains, so the choice changes
+/// speed, never bits.
+enum class F32Isa { kAuto, kScalar, kAvx2, kAvx512 };
+F32Isa active_f32_isa();
+void set_f32_isa(F32Isa isa);
+
 /// Cache-block sizes. mc/nc are rounded up to multiples of mr/kNR so macro
 /// tiles always align with packed panel boundaries; mr must be 4, 6, or 8.
 struct BlockConfig {
   std::int64_t mc = 48;   ///< rows of C per macro tile (multiple of 4, 6, 8)
   std::int64_t nc = 240;  ///< cols of C per macro tile
   std::int64_t kc = 256;  ///< k-panel depth flushed to C per pass
-  int mr = 6;             ///< microkernel height (4, 6, or 8; 6 saturates AVX2)
+  int mr = 6;             ///< microkernel height (4, 6, or 8)
 };
 const BlockConfig& block_config();
 void set_block_config(BlockConfig cfg);
@@ -171,11 +180,21 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
 
 /// Position-mixed FNV-1a over the exact bit patterns of n floats. A single
 /// flipped bit anywhere always changes the digest — the property weight
-/// injection needs.
+/// injection needs. Its value is persisted (static-calibration weight_fp,
+/// and from there campaign fingerprints), so it must never change.
 std::uint64_t fingerprint(const float* p, std::int64_t n);
 
+/// In-process validity digest of a pack cache's source: 8 independent
+/// FNV-1a lanes over the 32-bit words (word i feeds lane i mod 8), folded in
+/// lane order, then a serial FNV-1a tail over the last n mod 8 words. Each
+/// lane step and each fold step is a bijection in the word it takes, so a
+/// single flipped bit still always changes the digest, while the 8 chains
+/// run in parallel instead of one serial multiply chain. Never persisted:
+/// its value may change between versions, unlike fingerprint().
+std::uint64_t pack_digest(const float* p, std::int64_t n);
+
 /// Cached packed panels of a module's weight matrix. The pack is reused
-/// while the weight bits are unchanged (verified by fingerprint on every
+/// while the weight bits are unchanged (verified by pack_digest on every
 /// lookup, so mutation through tensor aliases — the library's injection
 /// mechanism — can never serve a stale pack) and droppable eagerly via
 /// invalidate() (the FaultInjector calls this on every weight-mutation

@@ -1093,12 +1093,12 @@ void widen_buffer(const std::uint16_t* src, std::int64_t n, Storage16 fmt,
 
 namespace {
 
-/// Fold the scale vector into the weight fingerprint: a pack quantized
-/// under different (e.g. frozen-golden vs freshly computed) scales must not
-/// be served for the other.
+/// Fold the scale vector into the weight digest: a pack quantized under
+/// different (e.g. frozen-golden vs freshly computed) scales must not be
+/// served for the other.
 std::uint64_t fp_with_scales(const float* w, std::int64_t wn,
                              const float* scales, std::int64_t sn) {
-  return fingerprint(w, wn) * 1099511628211ull ^ fingerprint(scales, sn);
+  return pack_digest(w, wn) * 1099511628211ull ^ pack_digest(scales, sn);
 }
 
 }  // namespace
@@ -1146,7 +1146,7 @@ const PackedPanels16& LowPrecPackCache::packed_a_16(std::int64_t m,
                                                     Storage16 fmt) {
   PFI_CHECK((trans_a ? lda == m : lda == k))
       << "LowPrecPackCache::packed_a_16 needs a contiguous weight matrix";
-  const std::uint64_t fp = fingerprint(w, m * k);
+  const std::uint64_t fp = pack_digest(w, m * k);
   const int mr = block_config().mr;
   if (h_valid_ && fp == h_fp_ && h_mr_ == mr && h_.span == m && h_.k == k &&
       h_.panel == mr && h_.fmt == fmt) {
@@ -1167,7 +1167,7 @@ const PackedPanels16& LowPrecPackCache::packed_b_16(std::int64_t k,
                                                     Storage16 fmt) {
   PFI_CHECK((trans_b ? ldb == k : ldb == n))
       << "LowPrecPackCache::packed_b_16 needs a contiguous weight matrix";
-  const std::uint64_t fp = fingerprint(w, n * k);
+  const std::uint64_t fp = pack_digest(w, n * k);
   if (h_valid_ && fp == h_fp_ && h_mr_ == 0 && h_.span == n && h_.k == k &&
       h_.panel == kNR && h_.fmt == fmt) {
     return h_;

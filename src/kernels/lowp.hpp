@@ -268,7 +268,7 @@ void widen_buffer(const std::uint16_t* src, std::int64_t n, Storage16 fmt,
 
 /// Cached low-precision packs of a module's weight matrix — the quantized
 /// counterpart of WeightPackCache. Each representation keeps its OWN
-/// fingerprint (over the weight bits and, for INT8, the scales), so weight
+/// pack_digest (over the weight bits and, for INT8, the scales), so weight
 /// mutation through tensor aliases can never serve a stale quantized pack,
 /// and invalidate() (called by the FaultInjector on every weight-mutation
 /// path) drops every representation at once.

@@ -19,10 +19,11 @@
 // materialized. The packed weight panels the blocked GEMM consumes are
 // cached per group and invalidated on weight mutation — the FaultInjector's
 // weight injection/restore paths call invalidate_weight_packs(), and a
-// bit-pattern fingerprint re-checked on every forward catches mutation
-// through tensor aliases. Backward re-gathers the column matrix rather than
-// caching it, trading FLOPs for memory, and scatters its gradient back
-// through the same spans (Im2col::scatter_add).
+// digest of the weight bits (kernels::pack_digest, 8 parallel FNV-1a lanes)
+// re-checked on every forward catches mutation through tensor aliases.
+// Backward re-gathers the column matrix rather than caching it, trading
+// FLOPs for memory, and scatters its gradient back through the same spans
+// (Im2col::scatter_add).
 #pragma once
 
 #include "kernels/kernels.hpp"
@@ -70,7 +71,7 @@ class Conv2d final : public Module {
 
   /// Drop the cached packed-weight panels. Call after mutating the weight
   /// tensor (weight injection, restore) so repeated forwards never consume a
-  /// stale pack; forwards also verify a weight fingerprint, so this is an
+  /// stale pack; forwards also verify a weight digest, so this is an
   /// eager-release hook, not the only line of defense.
   void invalidate_weight_packs() {
     for (auto& p : packed_) p.invalidate();

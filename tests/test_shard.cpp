@@ -460,6 +460,37 @@ TEST(ShardManifestTest, LogRefusesOverflowingCountersByFieldName) {
       "'skipped'");
 }
 
+TEST(ShardManifestTest, RefusesNonBinaryFlagsByFieldName) {
+  // The writer emits only 0 or 1; any other value is a damaged manifest,
+  // not a truthy flag.
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(
+            mutated_manifest("\"done\":0,", "\"done\":7,"));
+      },
+      "'done' must be 0 or 1, got 7");
+  expect_refusal(
+      [] {
+        shard_manifest_from_json(mutated_manifest(
+            "\"record_events\":0,", "\"record_events\":2,"));
+      },
+      "'record_events' must be 0 or 1, got 2");
+  const ShardManifest m = shard_manifest_from_json(mutated_manifest(
+      "\"record_events\":0,", "\"record_events\":1,"));
+  EXPECT_TRUE(m.record_events);
+}
+
+TEST(ShardManifestTest, LogRefusesNonBinaryRepFlagByFieldName) {
+  expect_refusal(
+      [] {
+        merge_single_record_log(
+            "/tmp/pfi_shard_log_flag",
+            "{\"rec\":1,\"attempt\":0,\"skipped\":0,\"reps\":[[2,\"1\",0]]}"
+            "\n");
+      },
+      "'non_finite' must be 0 or 1, got 2");
+}
+
 // ------------------------------------------------ uniform equivalence ----
 
 TEST(ShardEquivalence, UniformMergedMatchesSingleProcessAtAnyShardCount) {
